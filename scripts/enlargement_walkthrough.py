@@ -26,6 +26,7 @@ from apackets.packets import (
     TargetTriple,
     canonical_order,
     enumerate_params,
+    locate_pivot,
     validate_order,
 )
 from apackets.transfer import apply_transfer, build_psi_plus, check_sign_identity
@@ -101,7 +102,7 @@ def main() -> None:
           f"{[v.code for v in validate_order(new_order, target, PSI_PLUS_SIDE)] or 'none'}")
 
     if prime is not None:
-        pivot_idx = ordered.blocks.index(prime)
+        pivot_idx = locate_pivot(ordered.blocks, target, PSI_SIDE)
         t0, eta0 = params.t[pivot_idx], params.eta[pivot_idx]
         print(f"\nsign identity for the pivot (t0={t0}, eta0={sign_str(eta0)}): "
               f"{check_sign_identity(a0, b0, t0, eta0)}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -443,11 +444,20 @@ def serialize_workspace(ws: Workspace) -> str:
 # ---------------------------------------------------------------------------
 # command-line interface
 
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # No option starts with '-<digit>', so such a token is a value such
+        # as '-3/2' or '-1,2'; argparse alone only accepts plain '-3'.
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _load_workspace(args: argparse.Namespace) -> Workspace:
@@ -525,15 +535,12 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
             "violations": _violation_docs(violations)
         }
     co = canonical_order(entry.parameter.blocks, target, side)
-    original = list(entry.parameter.blocks)
-    used = [False] * len(original)
-    indices = []
-    for blk in co.blocks:
-        for k, orig in enumerate(original):
-            if not used[k] and orig == blk:
-                used[k] = True
-                indices.append(k)
-                break
+    # Equal blocks take their original indices in ascending order.
+    positions: dict[JordanBlock, list[int]] = {}
+    for k, blk in enumerate(entry.parameter.blocks):
+        positions.setdefault(blk, []).append(k)
+    unused = {blk: iter(ks) for blk, ks in positions.items()}
+    indices = [next(unused[blk]) for blk in co.blocks]
     return EXIT_OK, {
         "indices": indices,
         "blocks": [_block_doc(blk) for blk in co.blocks],

@@ -53,11 +53,6 @@ class HalfInt:
         """The half-integer equal to the ordinary integer ``n``."""
         return cls(2 * n)
 
-    @classmethod
-    def halves(cls, k: int) -> "HalfInt":
-        """The half-integer ``k/2``."""
-        return cls(k)
-
     @property
     def is_integral(self) -> bool:
         return self.doubled % 2 == 0
@@ -66,9 +61,6 @@ class HalfInt:
         """Exact conversion to int; raises if the value is not integral."""
         if not self.is_integral:
             raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def floor(self) -> int:
         return self.doubled // 2
 
     def as_fraction(self):
@@ -165,21 +157,6 @@ def parse_halfint(text: str) -> HalfInt:
     return HalfInt.whole(int(text))
 
 
-def halfint_in_segment(x: HalfInt, lo: HalfInt, hi: HalfInt) -> bool:
-    """Whether ``x`` lies in the integer-step segment between ``lo`` and ``hi``.
-
-    The segment's entries step by 1 starting from ``lo``; a value in a
-    different integrality class than the endpoints is never a member.
-    Endpoint order does not matter.
-    """
-    if (x.doubled - lo.doubled) % 2 != 0:
-        return False
-    a, b = lo.doubled, hi.doubled
-    if a > b:
-        a, b = b, a
-    return a <= x.doubled <= b
-
-
 class Parity(enum.Enum):
     """Self-dual type of a cuspidal label (type of its dual-side image)."""
 
@@ -189,10 +166,6 @@ class Parity(enum.Enum):
     @property
     def sign(self) -> int:
         return PLUS if self is Parity.ORTHOGONAL else MINUS
-
-
-def parity_from_sign(sign: int) -> Parity:
-    return Parity.ORTHOGONAL if check_sign(sign) == PLUS else Parity.SYMPLECTIC
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,13 +194,6 @@ class GroupKind(enum.Enum):
     O_EVEN = "Oeven"
 
 
-class RGFactor(enum.Enum):
-    """Which symmetry of the square detects the relevant self-dual L-factor."""
-
-    SYM2 = "Sym2"
-    WEDGE2 = "wedge2"
-
-
 @dataclass(frozen=True, slots=True)
 class GroupType:
     """A classical group given by kind, dual standard dimension, and a sign."""
@@ -242,11 +208,6 @@ class GroupType:
         if self.rank_dim < 1:
             raise ValueError(f"rank_dim must be >= 1, got {self.rank_dim}")
         check_sign(self.epsilon)
-
-    @property
-    def r_factor(self) -> RGFactor:
-        """The square-symmetry controlling the normalization factor."""
-        return RGFactor.WEDGE2 if self.kind is GroupKind.SO_ODD else RGFactor.SYM2
 
     @property
     def required_parity(self) -> Parity:
@@ -270,10 +231,6 @@ class TriBool(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     UNKNOWN = "unknown"
-
-    @classmethod
-    def from_bool(cls, value: bool) -> "TriBool":
-        return cls.TRUE if value else cls.FALSE
 
 
 def kleene_and(values: Iterable[TriBool]) -> TriBool:

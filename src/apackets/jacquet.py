@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core_types import HalfInt
 from .jordan import ArthurParameter
@@ -24,51 +23,8 @@ class Segment:
                 f"segment endpoints must differ by an integer, got [{self.start}, {self.stop}]"
             )
 
-    def entries(self) -> tuple[HalfInt, ...]:
-        step = 2 if self.stop.doubled >= self.start.doubled else -2
-        return tuple(
-            HalfInt(d)
-            for d in range(self.start.doubled, self.stop.doubled + step, step)
-        )
-
-    def __len__(self) -> int:
-        return abs(self.stop.doubled - self.start.doubled) // 2 + 1
-
     def __str__(self) -> str:
         return f"[{self.start}, {self.stop}]"
-
-
-def segments_linked(one: Segment, other: Segment) -> bool:
-    """Whether two segments are linked: their union is a segment and neither
-    contains the other. Segments in different integrality classes are never
-    linked."""
-    if (one.start.doubled - other.start.doubled) % 2 != 0:
-        return False
-    s1 = {e.doubled for e in one.entries()}
-    s2 = {e.doubled for e in other.entries()}
-    if s1 <= s2 or s2 <= s1:
-        return False
-    union = s1 | s2
-    return (max(union) - min(union)) // 2 + 1 == len(union)
-
-
-def split_segment(b: int) -> tuple[HalfInt, HalfInt, Segment, Segment]:
-    """Split the symmetric segment of b entries around 0 into its negative
-    and positive halves (the odd middle entry goes to the lower half).
-
-    Returns (delta, delta_prime, lower, upper) where the halves are
-    [-(b-1)/2, -delta] and [delta_prime, (b-1)/2]; delta = 0, delta' = 1
-    for odd b and delta = delta' = 1/2 for even b.
-    """
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    if b % 2 == 1:
-        delta, delta_prime = 0, 2  # doubled values of 0 and 1
-    else:
-        delta, delta_prime = 1, 1  # doubled values of 1/2 and 1/2
-    lower = Segment(HalfInt(-(b - 1)), HalfInt(-delta))
-    upper = Segment(HalfInt(delta_prime), HalfInt(b - 1))
-    return HalfInt(delta), HalfInt(delta_prime), lower, upper
 
 
 @dataclass(frozen=True)
@@ -173,19 +129,3 @@ def irreducible_cuspidal_twist(
             continue
         return IrredVerdict.UNKNOWN
     return IrredVerdict.IRREDUCIBLE
-
-
-def speh_pair_irreducible(
-    rho_eq: bool,
-    half_sum_diff_integral: bool,
-    y_plus_z: Fraction,
-    y2_plus_z2: Fraction,
-) -> IrredVerdict:
-    """Sufficient criterion for a product of two Speh-type factors to be
-    irreducible: different labels, non-integral exponent gap, or close
-    centers |(y+z) - (y'+z')| < 1."""
-    if not rho_eq or not half_sum_diff_integral:
-        return IrredVerdict.IRREDUCIBLE
-    if abs(Fraction(y_plus_z) - Fraction(y2_plus_z2)) < 1:
-        return IrredVerdict.IRREDUCIBLE
-    return IrredVerdict.UNKNOWN

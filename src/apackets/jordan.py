@@ -13,7 +13,6 @@ from .core_types import (
     CuspidalLabel,
     GroupType,
     HalfInt,
-    Parity,
     Violation,
     check_sign,
     sign_str,
@@ -79,10 +78,6 @@ class JordanBlock:
             object.__setattr__(self, "twist", Fraction(self.twist))
         if abs(self.twist) >= Fraction(1, 2):
             raise ValueError(f"twist must satisfy |x| < 1/2, got {self.twist}")
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.twist == 0
 
     def quadruple(self) -> Quadruple:
         return to_quadruple(self.a, self.b)
@@ -237,34 +232,6 @@ def decompose(
         mp_half=tuple(sorted(mp_half, key=_block_sort_key)),
         nu_pos=tuple(sorted(nu_pos, key=_block_sort_key)),
     )
-
-
-def dominates(
-    ordered_gt: Sequence[JordanBlock], ordered: Sequence[JordanBlock]
-) -> tuple[int, ...] | None:
-    """Positionwise domination witness between two equally long ordered lists.
-
-    Matching blocks must share label, twist, and zeta, and satisfy
-    A' - A = B' - B = T with T a nonnegative integer; returns the tuple of
-    T values, or None when some position fails.
-    """
-    if len(ordered_gt) != len(ordered):
-        raise ValueError(
-            f"length mismatch: {len(ordered_gt)} vs {len(ordered)} blocks"
-        )
-    shifts: list[int] = []
-    for big, small in zip(ordered_gt, ordered):
-        if big.rho != small.rho or big.twist != small.twist:
-            return None
-        qb, qs = big.quadruple(), small.quadruple()
-        if qb.zeta != qs.zeta:
-            return None
-        da = qb.A - qs.A
-        db = qb.B - qs.B
-        if da != db or da < 0 or not da.is_integral:
-            return None
-        shifts.append(da.as_int())
-    return tuple(shifts)
 
 
 def validate_parameter(

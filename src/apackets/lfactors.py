@@ -12,18 +12,6 @@ from .core_types import MINUS, PLUS, HalfInt
 from .jordan import ArthurParameter, Quadruple, to_quadruple
 
 
-def lfactor_shifts(a0: int, a: int) -> tuple[HalfInt, ...]:
-    """The ascending shifts |a-a0|/2, |a-a0|/2+1, ..., (a+a0)/2-1.
-
-    Exactly min(a, a0) values, stepping by 1.
-    """
-    if a0 < 1 or a < 1:
-        raise ValueError(f"sizes must be >= 1, got a0={a0}, a={a}")
-    lo = abs(a - a0)
-    hi = a + a0 - 2
-    return tuple(HalfInt(d) for d in range(lo, hi + 1, 2))
-
-
 def pole_contribution_interval(a: int, b: int, a0: int, b0: int) -> int:
     """1 if the factor for (a,b) against (a0,b0) has a pole at s=(b0-1)/2.
 

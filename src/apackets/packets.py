@@ -46,6 +46,16 @@ class TargetTriple:
         """The enlarged block (rho, a0, b0)."""
         return JordanBlock(self.rho, self.a0, self.b0)
 
+    def pivot_block(self, side: str) -> JordanBlock | None:
+        """The block whose designated copy is the pivot on ``side``: the
+        shrunken block on the small side (None when b0 = 2), the enlarged
+        block on the enlarged side."""
+        if side == PSI_SIDE:
+            return self.prime_block()
+        if side == PSI_PLUS_SIDE:
+            return self.plus_block()
+        raise ValueError(f"unknown side: {side!r}")
+
     @property
     def is_exceptional(self) -> bool:
         """The corner b0 = a0 + 1, where the shrunken and enlarged blocks
@@ -74,10 +84,9 @@ def derive_prime_block(a0: int, b0: int) -> Quadruple | None:
 
 @dataclass(frozen=True)
 class OrderedJord:
-    """Jordan blocks listed in increasing order, with an optional target."""
+    """Jordan blocks listed in increasing order."""
 
     blocks: tuple[JordanBlock, ...]
-    context: TargetTriple | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -109,14 +118,18 @@ def check_constraint1(a: int, b: int, t: int, eta: int) -> str | None:
     return None
 
 
+def _raw_sign(a: int, b: int, t: int, eta: int) -> int:
+    m = min(a, b)
+    return (eta ** m) * ((-1) ** (m // 2 + t))
+
+
 def block_sign(a: int, b: int, t: int, eta: int) -> int:
     """The block's factor eta^min(a,b) * (-1)^(floor(min(a,b)/2) + t) in the
     sign product; raises when (t, eta) violates the range condition."""
     detail = check_constraint1(a, b, t, eta)
     if detail is not None:
         raise ValueError(detail)
-    m = min(a, b)
-    return (eta ** m) * ((-1) ** (m // 2 + t))
+    return _raw_sign(a, b, t, eta)
 
 
 def admissible_pairs(a: int, b: int) -> tuple[tuple[int, int], ...]:
@@ -149,11 +162,6 @@ class PacketParams:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def _raw_sign(a: int, b: int, t: int, eta: int) -> int:
-    m = min(a, b)
-    return (eta ** m) * ((-1) ** (m // 2 + t))
 
 
 def validate_params(
@@ -210,11 +218,6 @@ def enumerate_params(
     return tuple(found)
 
 
-def count_params(ordered: OrderedJord | Sequence[JordanBlock], epsilon: int) -> int:
-    """Number of packet parameters passing both conditions."""
-    return len(enumerate_params(ordered, epsilon))
-
-
 def locate_pivot(
     blocks: Sequence[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
 ) -> int | None:
@@ -226,14 +229,9 @@ def locate_pivot(
     small side when b0 = 2 (no shrunken block exists); raises when the
     required block is absent.
     """
-    if side not in (PSI_SIDE, PSI_PLUS_SIDE):
-        raise ValueError(f"unknown side: {side!r}")
-    if side == PSI_SIDE:
-        pivot_block = target.prime_block()
-        if pivot_block is None:
-            return None
-    else:
-        pivot_block = target.plus_block()
+    pivot_block = target.pivot_block(side)
+    if pivot_block is None:
+        return None
     indices = [i for i, blk in enumerate(blocks) if blk == pivot_block]
     if not indices:
         raise ValueError(f"required block {pivot_block} absent from the order")
@@ -393,14 +391,9 @@ def canonical_order(
     With no target, this is just the plain sort.
     """
     blocks = list(jord.blocks) if isinstance(jord, ArthurParameter) else list(jord)
-    if side not in (PSI_SIDE, PSI_PLUS_SIDE):
-        raise ValueError(f"unknown side: {side!r}")
-    if target is None:
-        return OrderedJord(tuple(sorted(blocks, key=_canonical_key)), None)
-
-    pivot_block = target.prime_block() if side == PSI_SIDE else target.plus_block()
-    if pivot_block is None:  # small side with b0 = 2: nothing to place
-        return OrderedJord(tuple(sorted(blocks, key=_canonical_key)), target)
+    pivot_block = None if target is None else target.pivot_block(side)
+    if pivot_block is None:  # no target, or small side with b0 = 2: nothing to place
+        return OrderedJord(tuple(sorted(blocks, key=_canonical_key)))
     try:
         blocks.remove(pivot_block)
     except ValueError:
@@ -417,4 +410,4 @@ def canonical_order(
         tq = target.quadruple()
         pos = sum(1 for blk in rest if blk.quadruple().A < tq.A)
     rest.insert(pos, pivot_block)
-    return OrderedJord(tuple(rest), target)
+    return OrderedJord(tuple(rest))

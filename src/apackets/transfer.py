@@ -9,10 +9,10 @@ from .core_types import CuspidalLabel, GroupType, MINUS, PLUS
 from .jordan import ArthurParameter, JordanBlock, good_parity
 from .packets import (
     OrderedJord,
-    PSI_PLUS_SIDE,
     PSI_SIDE,
     PacketParams,
     TargetTriple,
+    _blocks_of,
     block_sign,
     check_constraint1,
     derive_prime_block,
@@ -26,7 +26,6 @@ __all__ = [
     "transfer_params",
     "check_sign_identity",
     "induced_order",
-    "reduced_order",
     "apply_transfer",
 ]
 
@@ -133,9 +132,8 @@ def induced_order(
     For b0 = 2 there is no place to take and ``insert_position`` must say
     where the new block goes (otherwise this raises).
     """
-    blocks = list(ordered.blocks if isinstance(ordered, OrderedJord) else ordered)
-    prime = target.prime_block()
-    if prime is None:
+    blocks = list(_blocks_of(ordered))
+    if target.b0 == 2:
         if insert_position is None:
             raise ValueError(
                 "b0 = 2 inserts a fresh block: an explicit insert_position is required"
@@ -149,28 +147,7 @@ def induced_order(
         idx = locate_pivot(blocks, target, PSI_SIDE)
         assert idx is not None
         blocks[idx] = target.plus_block()
-    return OrderedJord(tuple(blocks), target)
-
-
-def reduced_order(
-    ordered_plus: OrderedJord | Sequence[JordanBlock], target: TargetTriple
-) -> OrderedJord:
-    """Order on the small side induced back from the enlarged side.
-
-    Inverse of induced_order for b0 > 2; for b0 = 2 the enlarged block is
-    removed.
-    """
-    blocks = list(
-        ordered_plus.blocks if isinstance(ordered_plus, OrderedJord) else ordered_plus
-    )
-    idx = locate_pivot(blocks, target, PSI_PLUS_SIDE)
-    assert idx is not None
-    prime = target.prime_block()
-    if prime is None:
-        del blocks[idx]
-    else:
-        blocks[idx] = prime
-    return OrderedJord(tuple(blocks), target)
+    return OrderedJord(tuple(blocks))
 
 
 def apply_transfer(
@@ -185,19 +162,15 @@ def apply_transfer(
     are recomputed; for b0 = 2 the fresh block's coordinates are inserted at
     ``insert_position``.
     """
-    blocks = list(ordered.blocks if isinstance(ordered, OrderedJord) else ordered)
+    blocks = _blocks_of(ordered)
     if len(params) != len(blocks):
         raise ValueError(
             f"params cover {len(params)} blocks, order has {len(blocks)}"
         )
     t_list, eta_list = list(params.t), list(params.eta)
     if target.b0 == 2:
-        if insert_position is None:
-            raise ValueError(
-                "b0 = 2 inserts a fresh block: an explicit insert_position is required"
-            )
-        t_plus, eta_plus = transfer_params(0, PLUS, target.a0, 2)
         new_order = induced_order(blocks, target, insert_position)
+        t_plus, eta_plus = transfer_params(0, PLUS, target.a0, 2)
         t_list.insert(insert_position, t_plus)
         eta_list.insert(insert_position, eta_plus)
     else:

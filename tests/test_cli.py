@@ -1,11 +1,15 @@
 """Tests for the JSON workspace format and the command-line interface."""
 
+import contextlib
 import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apackets.cli import (
     EXIT_FAIL,
@@ -344,6 +348,46 @@ def test_order_canonical(capsys):
     assert [(b["a"], b["b"]) for b in payload["blocks"]] == [(2, 1), (2, 3), (4, 1), (4, 3)]
 
 
+@st.composite
+def _repeated_pivot_orders(draw):
+    """A target, a side, and a shuffled block list holding several copies of
+    that side's pivot block and repeats of other blocks."""
+    exceptional = draw(st.booleans())
+    a0 = draw(st.integers(2, 4))
+    b0 = a0 + 1 if exceptional else draw(st.integers(3, 6).filter(lambda b: b != a0 + 1))
+    side = draw(st.sampled_from(["psi", "psi_plus"]))
+    pivot = (a0, b0 - 2) if side == "psi" else (a0, b0)
+    others = draw(
+        st.lists(st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 3), (a0, b0 + 2)]), max_size=5)
+    )
+    copies = draw(st.integers(2, 4))
+    blocks = draw(st.permutations([pivot] * copies + others))
+    return a0, b0, side, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeated_pivot_orders())
+def test_order_canonical_indices_with_repeated_blocks(case):
+    a0, b0, side, sizes = case
+    jord = [{"rho": "r", "a": a, "b": b, "twist_num": 0, "twist_den": 1} for a, b in sizes]
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(_param_doc(jord))), \
+            contextlib.redirect_stdout(out):
+        code = run([
+            "order", "-w", "-", "--param", "P", "--rho", "r", "--a0", str(a0),
+            "--b0", str(b0), "--side", side, "--canonical",
+        ])
+    assert code == EXIT_OK
+    payload = json.loads(out.getvalue())
+    indices = payload["indices"]
+    assert sorted(indices) == list(range(len(jord)))
+    assert [jord[k] for k in indices] == payload["blocks"]
+    for j in range(len(indices)):
+        for k in range(j + 1, len(indices)):
+            if payload["blocks"][j] == payload["blocks"][k]:
+                assert indices[j] < indices[k]
+
+
 def test_pole_order(capsys):
     code, payload = _run_json(
         capsys,
@@ -467,6 +511,28 @@ def test_eisenstein_holomorphic(capsys):
     )
     assert code == EXIT_OK
     assert payload == {"kind": "holomorphic", "cond1": False, "cond2": "false"}
+
+
+@pytest.mark.parametrize(
+    "prefix, option, value",
+    [
+        (("irreducible", "-w", str(SP), "--param", "J", "--rho", "r"), "--x", "-3/2"),
+        (("jac", "--normal-form"), "--exponents", "-1,2"),
+        (
+            ("jac", "--nonvanishing", "-w", str(SP), "--param", "J", "--rho", "r",
+             "--from", "1/2"),
+            "--to",
+            "-7/2",
+        ),
+    ],
+    ids=["irreducible-x", "jac-exponents", "jac-to"],
+)
+def test_negative_option_values(capsys, prefix, option, value):
+    joined = _run(capsys, *prefix, f"{option}={value}")
+    spaced = _run(capsys, *prefix, option, value)
+    assert joined[0] == EXIT_OK
+    assert spaced == joined
+    assert _run(capsys, *prefix, option)[0] == EXIT_USAGE  # value really missing
 
 
 def test_workspace_from_stdin(capsys, monkeypatch):

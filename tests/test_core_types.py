@@ -16,13 +16,10 @@ from apackets.core_types import (
     HalfInt,
     LContext,
     Parity,
-    RGFactor,
     TriBool,
     Violation,
     check_sign,
-    halfint_in_segment,
     kleene_and,
-    parity_from_sign,
     parse_halfint,
     parse_sign,
     sign_str,
@@ -64,7 +61,6 @@ def test_parse_sign():
 def test_halfint_basics():
     x = h2(3)  # 3/2
     assert not x.is_integral
-    assert x.floor() == 1
     assert str(x) == "3/2"
     y = h(2)
     assert y.is_integral
@@ -72,12 +68,6 @@ def test_halfint_basics():
     assert str(y) == "2"
     with pytest.raises(ValueError):
         x.as_int()
-
-
-def test_halfint_floor_rounds_down_for_negatives():
-    assert h2(-3).floor() == -2  # floor(-3/2) = -2
-    assert h2(-4).floor() == -2
-    assert h2(-1).floor() == -1
 
 
 def test_halfint_arithmetic_and_comparison():
@@ -133,43 +123,12 @@ def test_halfint_arithmetic_matches_fractions(a, b):
     assert (x == y) == (x.as_fraction() == y.as_fraction())
 
 
-# --- segment membership -----------------------------------------------------
-
-
-def test_halfint_in_segment_examples():
-    assert halfint_in_segment(h2(1), h2(1), h2(5)) is True  # 1/2 in [1/2, 5/2]
-    assert halfint_in_segment(h(0), h2(1), h2(5)) is False  # wrong class
-    assert halfint_in_segment(h(3), h(5), h(1)) is True  # reversed endpoints
-
-
-def test_halfint_in_segment_bounds():
-    assert not halfint_in_segment(h(0), h(1), h(5))
-    assert not halfint_in_segment(h(6), h(1), h(5))
-    assert halfint_in_segment(h(5), h(1), h(5))
-
-
-@given(
-    st.integers(-20, 20),
-    st.integers(-20, 20),
-    st.integers(-10, 10),
-)
-def test_halfint_in_segment_matches_entry_list(x, lo, span):
-    # Well-formed segments have an integral span, so both endpoints share a class.
-    hi = lo + 2 * span
-    member = halfint_in_segment(HalfInt(x), HalfInt(lo), HalfInt(hi))
-    a, b = min(lo, hi), max(lo, hi)
-    entries = set(range(a, b + 1, 2))
-    assert member == (x in entries)
-
-
 # --- labels, parities, groups ------------------------------------------------
 
 
 def test_parity_signs():
     assert Parity.ORTHOGONAL.sign == PLUS
     assert Parity.SYMPLECTIC.sign == MINUS
-    assert parity_from_sign(PLUS) is Parity.ORTHOGONAL
-    assert parity_from_sign(MINUS) is Parity.SYMPLECTIC
 
 
 def test_cuspidal_label_validation():
@@ -183,13 +142,10 @@ def test_cuspidal_label_validation():
         CuspidalLabel("a", 1, False, Parity.ORTHOGONAL)
 
 
-def test_group_type_r_factor_and_required_parity():
+def test_group_type_required_parity():
     so = GroupType(GroupKind.SO_ODD, 4)
     s = GroupType(GroupKind.SP, 5)
     oe = GroupType(GroupKind.O_EVEN, 6)
-    assert so.r_factor is RGFactor.WEDGE2
-    assert s.r_factor is RGFactor.SYM2
-    assert oe.r_factor is RGFactor.SYM2
     assert so.required_parity is Parity.SYMPLECTIC
     assert s.required_parity is Parity.ORTHOGONAL
     assert oe.required_parity is Parity.ORTHOGONAL
@@ -205,11 +161,6 @@ def test_group_type_validation():
 
 
 # --- three-valued logic -------------------------------------------------------
-
-
-def test_tribool_from_bool():
-    assert TriBool.from_bool(True) is TriBool.TRUE
-    assert TriBool.from_bool(False) is TriBool.FALSE
 
 
 def test_kleene_and():

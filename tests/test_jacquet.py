@@ -17,9 +17,6 @@ from apackets.jacquet import (
     jac_commutes,
     jac_nonvanishing_necessary,
     jac_normal_form,
-    segments_linked,
-    speh_pair_irreducible,
-    split_segment,
 )
 
 from _helpers import blk, h, h2, sp, sp_param
@@ -28,75 +25,13 @@ from _helpers import blk, h, h2, sp, sp_param
 # --- segments ------------------------------------------------------------------
 
 
-def test_segment_entries_and_len():
-    s = Segment(h2(1), h2(5))
-    assert s.entries() == (h2(1), h2(3), h2(5))
-    assert len(s) == 3
-    assert str(s) == "[1/2, 5/2]"
-
-
-def test_segment_descending_entries():
-    s = Segment(h(2), h(0))
-    assert s.entries() == (h(2), h(1), h(0))
-    assert len(s) == 3
-
-
-def test_segment_single_entry():
-    s = Segment(h(3), h(3))
-    assert s.entries() == (h(3),)
-    assert len(s) == 1
+def test_segment_str():
+    assert str(Segment(h2(1), h2(5))) == "[1/2, 5/2]"
 
 
 def test_segment_mixed_class_raises():
     with pytest.raises(ValueError):
         Segment(h(0), h2(1))
-
-
-def test_segments_linked_examples():
-    assert segments_linked(Segment(h(2), h(1)), Segment(h(1), h(0))) is True
-    assert segments_linked(Segment(h(3), h(2)), Segment(h(0), h(-1))) is False
-    assert segments_linked(Segment(h(2), h(0)), Segment(h(1), h(0))) is False
-
-
-def test_segments_linked_symmetry_and_classes():
-    a, b = Segment(h(0), h(1)), Segment(h(1), h(2))
-    assert segments_linked(a, b) == segments_linked(b, a) is True
-    assert segments_linked(Segment(h(0), h(1)), Segment(h2(1), h2(3))) is False
-    assert segments_linked(a, a) is False
-
-
-def test_split_segment_examples():
-    delta, delta_prime, lower, upper = split_segment(3)
-    assert (delta, delta_prime) == (h(0), h(1))
-    assert (lower.start, lower.stop) == (h(-1), h(0))
-    assert (upper.start, upper.stop) == (h(1), h(1))
-
-    delta, delta_prime, lower, upper = split_segment(2)
-    assert (delta, delta_prime) == (h2(1), h2(1))
-    assert (lower.start, lower.stop) == (h2(-1), h2(-1))
-    assert (upper.start, upper.stop) == (h2(1), h2(1))
-
-    delta, delta_prime, lower, upper = split_segment(4)
-    assert (delta, delta_prime) == (h2(1), h2(1))
-    assert (lower.start, lower.stop) == (h2(-3), h2(-1))
-    assert (upper.start, upper.stop) == (h2(1), h2(3))
-
-
-def test_split_segment_rejects_small_b():
-    for b in (1, 0, -3):
-        with pytest.raises(ValueError):
-            split_segment(b)
-
-
-@given(st.integers(2, 40))
-def test_split_segment_partitions_symmetric_segment(b):
-    _, _, lower, upper = split_segment(b)
-    got = sorted(e.doubled for e in lower.entries() + upper.entries())
-    want = list(range(-(b - 1), b, 2))
-    assert got == want
-    # Lower half is at most as long as the upper plus the odd middle entry.
-    assert len(lower) == b // 2 + (b % 2)
-    assert len(upper) == b // 2
 
 
 # --- commutation and normal form --------------------------------------------------
@@ -209,13 +144,3 @@ def test_irreducible_cuspidal_twist_zero_raises():
     psi = sp_param([blk("r", 2, 2)])
     with pytest.raises(ValueError):
         irreducible_cuspidal_twist(psi, "r", h(0))
-
-
-def test_speh_pair_irreducible_table():
-    IRR, UNK = IrredVerdict.IRREDUCIBLE, IrredVerdict.UNKNOWN
-    f = speh_pair_irreducible
-    assert f(False, True, Fraction(1), Fraction(2)) is IRR
-    assert f(True, False, Fraction(1), Fraction(2)) is IRR
-    assert f(True, True, Fraction(13, 10), Fraction(1)) is IRR  # gap 3/10
-    assert f(True, True, Fraction(2), Fraction(1)) is UNK  # gap exactly 1
-    assert f(True, True, Fraction(5), Fraction(1)) is UNK

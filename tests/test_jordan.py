@@ -1,5 +1,5 @@
 """Blocks, quadruple coordinates, parity classification, decomposition,
-domination, and structural parameter validation."""
+and structural parameter validation."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from apackets.jordan import (
     JordanBlock,
     Quadruple,
     decompose,
-    dominates,
     from_quadruple,
     good_parity,
     to_quadruple,
@@ -89,8 +88,6 @@ def test_quadruple_shape_invariants(a, b):
 
 def test_block_twist_coercion_and_bounds():
     assert blk("r", 1, 1).twist == Fraction(0)
-    assert JordanBlock("r", 1, 1, Fraction(1, 4)).is_unitary is False
-    assert blk("r", 2, 3).is_unitary is True
     with pytest.raises(ValueError):
         JordanBlock("r", 1, 1, Fraction(1, 2))
     with pytest.raises(ValueError):
@@ -230,60 +227,6 @@ def test_decompose_partition_law(good_sizes, pair_sizes):
     psi = soodd_param(blocks)
     dec = decompose(psi, LABELS)
     assert len(dec.bp) + 2 * len(dec.mp_half) + 2 * len(dec.nu_pos) == len(blocks)
-
-
-# --- domination -------------------------------------------------------------------
-
-
-def test_dominates_identity():
-    blocks = [blk("r", 2, 1), blk("r", 4, 1)]
-    assert dominates(blocks, blocks) == (0, 0)
-
-
-def test_dominates_shift_example():
-    # (A=1,B=0,+) is (2,2); (A=3,B=2,+) is (6,2): T = 2.
-    assert dominates([blk("r", 6, 2)], [blk("r", 2, 2)]) == (2,)
-
-
-def test_dominates_zeta_mismatch_is_none():
-    # (4,2) has zeta +, (2,4) has zeta -.
-    assert dominates([blk("r", 4, 2)], [blk("r", 2, 4)]) is None
-
-
-def test_dominates_negative_shift_is_none():
-    assert dominates([blk("r", 2, 2)], [blk("r", 6, 2)]) is None
-
-
-def test_dominates_unequal_ab_shift_is_none():
-    # A grows by 1 but B grows by 0: not a common shift.
-    assert dominates([blk("r", 3, 3)], [blk("r", 2, 2)]) is None
-
-
-def test_dominates_label_mismatch_is_none():
-    assert dominates([blk("rs", 2, 2)], [blk("r", 2, 2)]) is None
-
-
-def test_dominates_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        dominates([blk("r", 2, 2)], [])
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 5)),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_dominates_per_block_shift(rows):
-    # Shifting a block's A and B by the same T translates (a, b) to
-    # (a + 2T, b) when a >= b and to (a, b + 2T) otherwise.
-    small, big, shifts = [], [], []
-    for a, b, t in rows:
-        small.append(blk("r", a, b))
-        big.append(blk("r", a + 2 * t, b) if a >= b else blk("r", a, b + 2 * t))
-        shifts.append(t)
-    assert dominates(big, small) == tuple(shifts)
 
 
 # --- structural validation ----------------------------------------------------------

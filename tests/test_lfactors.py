@@ -1,4 +1,4 @@
-"""Shift sets and the two pole-criterion routes, plus their coincidence with
+"""The two pole-criterion routes, plus their coincidence with
 the per-block obstruction conditions re-derived independently here."""
 
 import pytest
@@ -8,40 +8,13 @@ from hypothesis import strategies as st
 from apackets.core_types import MINUS, PLUS
 from apackets.jordan import Quadruple, to_quadruple
 from apackets.lfactors import (
-    lfactor_shifts,
     pole_contribution_interval,
     pole_contribution_table,
     r_order,
 )
 from _helpers import blk, h, h2, soodd_param
 
-# --- shift sets ------------------------------------------------------------
-
-
-def test_lfactor_shifts_examples():
-    assert lfactor_shifts(1, 1) == (h(0),)
-    assert lfactor_shifts(2, 2) == (h(0), h(1))
-    assert lfactor_shifts(4, 2) == (h(1), h(2))
-
-
-def test_lfactor_shifts_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        lfactor_shifts(0, 1)
-    with pytest.raises(ValueError):
-        lfactor_shifts(1, 0)
-
-
-def test_lfactor_shifts_cardinality():
-    for a0 in range(1, 51):
-        for a in range(1, 51):
-            shifts = lfactor_shifts(a0, a)
-            assert len(shifts) == min(a, a0)
-            # ascending with unit steps
-            for x, y in zip(shifts, shifts[1:]):
-                assert (y - x).doubled == 2
-
-
-# --- the two routes on examples ---------------------------------------------
+# --- the two routes --------------------------------------------------------
 
 
 def test_table_examples():

@@ -19,7 +19,6 @@ from apackets.packets import (
     block_sign,
     canonical_order,
     check_constraint1,
-    count_params,
     derive_prime_block,
     enumerate_params,
     locate_pivot,
@@ -98,7 +97,7 @@ def test_packet_params_validation():
 def test_enumerate_single_odd_block():
     found = enumerate_params([blk("r", 1, 1)], PLUS)
     assert found == (PacketParams((0,), (PLUS,)),)
-    assert count_params([blk("r", 1, 1)], PLUS) == 1
+    assert len(enumerate_params([blk("r", 1, 1)], PLUS)) == 1
 
 
 def test_enumerate_single_even_block_plus():
@@ -112,7 +111,7 @@ def test_enumerate_single_even_block_minus():
         PacketParams((0,), (PLUS,)),
         PacketParams((0,), (MINUS,)),
     )
-    assert count_params([blk("r", 2, 2)], MINUS) == 2
+    assert len(enumerate_params([blk("r", 2, 2)], MINUS)) == 2
 
 
 def test_enumerate_lexicographic_order():
@@ -176,7 +175,7 @@ def test_count_partition(sizes):
     total = 1
     for a, b in sizes:
         total *= len(admissible_pairs(a, b))
-    assert count_params(blocks, PLUS) + count_params(blocks, MINUS) == total
+    assert len(enumerate_params(blocks, PLUS)) + len(enumerate_params(blocks, MINUS)) == total
 
 
 # --- target triples and the shrunken block ---------------------------------------

@@ -12,6 +12,7 @@ from apackets.core_types import MINUS, PLUS, GroupType
 from apackets.jordan import ArthurParameter, JordanBlock
 from apackets.packets import (
     OrderedJord,
+    PSI_PLUS_SIDE,
     PSI_SIDE,
     PacketParams,
     TargetTriple,
@@ -19,6 +20,7 @@ from apackets.packets import (
     block_sign,
     canonical_order,
     check_constraint1,
+    locate_pivot,
     validate_order,
 )
 from apackets.transfer import (
@@ -26,7 +28,6 @@ from apackets.transfer import (
     build_psi_plus,
     check_sign_identity,
     induced_order,
-    reduced_order,
     transfer_params,
 )
 
@@ -192,10 +193,17 @@ def test_induced_order_swaps_pivot_in_place():
     )
 
 
+def _reduced_blocks(ordered_plus, target):
+    """Small-side order read back from the enlarged side: the enlarged
+    side's pivot goes back to the shrunken block (b0 > 2)."""
+    blocks = list(ordered_plus.blocks)
+    blocks[locate_pivot(blocks, target, PSI_PLUS_SIDE)] = target.prime_block()
+    return tuple(blocks)
+
+
 def test_reduced_order_inverts_induced():
     blocks, target = _four_block_order()
-    back = reduced_order(induced_order(blocks, target), target)
-    assert back.blocks == tuple(blocks)
+    assert _reduced_blocks(induced_order(blocks, target), target) == tuple(blocks)
 
 
 def test_induced_order_fresh_block_requires_position():
@@ -205,13 +213,29 @@ def test_induced_order_fresh_block_requires_position():
         induced_order(blocks, target)
     out = induced_order(blocks, target, insert_position=1)
     assert out.blocks == (blk("r", 2, 1), blk("r", 4, 2), blk("r", 4, 1))
-    back = reduced_order(out, target)
-    assert back.blocks == tuple(blocks)
 
 
 def test_induced_order_position_out_of_range():
     with pytest.raises(ValueError):
         induced_order([blk("r", 2, 1)], TargetTriple("r", 4, 2), insert_position=3)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 5),
+    st.integers(3, 7),
+    st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=3),
+)
+def test_induced_order_replaces_only_the_pivot(a0, b0, extra_sizes):
+    target = TargetTriple("r", a0, b0)
+    parity = (a0 + b0) % 2
+    blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
+    blocks.append(target.prime_block())
+    ordered = canonical_order(blocks, target, PSI_SIDE)
+    pivot = locate_pivot(ordered.blocks, target, PSI_SIDE)
+    expected = list(ordered.blocks)
+    expected[pivot] = target.plus_block()
+    assert induced_order(ordered, target).blocks == tuple(expected)
 
 
 @settings(max_examples=150)
@@ -226,8 +250,8 @@ def test_reduced_of_induced_is_identity(a0, b0, extra_sizes):
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks.append(target.prime_block())
     ordered = canonical_order(blocks, target, PSI_SIDE)
-    back = reduced_order(induced_order(ordered, target), target)
-    assert back.blocks == tuple(ordered)
+    back = _reduced_blocks(induced_order(ordered, target), target)
+    assert back == tuple(ordered.blocks)
 
 
 # --- full transport --------------------------------------------------------------
