@@ -21,6 +21,7 @@ from .core_types import (
     GroupKind,
     GroupType,
     LContext,
+    PLUS,
     Parity,
     TriBool,
     parse_halfint,
@@ -65,53 +66,153 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # workspace parsing
+#
+# Each record kind is a _Table: its fields in key order, each a (key,
+# converter, default) triple, and the function that builds the record from
+# the converted fields. A converter takes (value, ctx), where ctx holds the
+# root fields converted so far (labels come first), and returns the
+# converted value. A WorkspaceError raised while converting a value carries a
+# pointer relative to that value; each enclosing object or array prefixes its
+# key or index on the way out, so a valid document builds no pointer strings.
+
+_REQUIRED = object()  # default of a key the record must have
 
 
-def _as_obj(value: Any, pointer: str) -> dict:
-    if not isinstance(value, dict):
-        raise WorkspaceError(pointer, f"expected an object, got {type(value).__name__}")
-    return value
+def _under(key: Any, exc: WorkspaceError) -> WorkspaceError:
+    return WorkspaceError(f"/{key}{exc.pointer}", exc.message)
 
 
-def _as_list(value: Any, pointer: str) -> list:
-    if not isinstance(value, list):
-        raise WorkspaceError(pointer, f"expected an array, got {type(value).__name__}")
-    return value
+def _typed(kind: type, name: str):
+    # JSON values only, so an exact type test: a bool is not an integer.
+    def convert(value: Any, ctx: dict | None = None) -> Any:
+        if type(value) is not kind:
+            raise WorkspaceError("", f"expected {name}, got {type(value).__name__}")
+        return value
+
+    return convert
 
 
-def _as_str(value: Any, pointer: str) -> str:
-    if not isinstance(value, str):
-        raise WorkspaceError(pointer, f"expected a string, got {type(value).__name__}")
-    return value
+_object, _array = _typed(dict, "an object"), _typed(list, "an array")
+_str, _int, _bool = _typed(str, "a string"), _typed(int, "an integer"), _typed(bool, "a boolean")
 
 
-def _as_int(value: Any, pointer: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WorkspaceError(pointer, f"expected an integer, got {type(value).__name__}")
-    return value
+class _Table:
+    """One record kind; calling it checks and converts one JSON object."""
+
+    def __init__(self, build, *fields):
+        self.build = build
+        self.fields = fields
+        self.keys = frozenset(key for key, _, _ in fields)
+        self.required = frozenset(key for key, _, default in fields if default is _REQUIRED)
+
+    def __call__(self, value: Any, ctx: dict | None) -> Any:
+        obj = _object(value)
+        keys = obj.keys()
+        if not keys <= self.keys:
+            raise WorkspaceError(f"/{next(k for k in obj if k not in self.keys)}", "unknown key")
+        if not keys >= self.required:
+            missing = next(k for k, _, d in self.fields if d is _REQUIRED and k not in obj)
+            raise WorkspaceError("", f"missing required key {missing!r}")
+        got: dict[str, Any] = {}
+        if ctx is None:
+            ctx = got
+        try:
+            for key, convert, default in self.fields:
+                got[key] = convert(obj[key], ctx) if key in obj else default
+        except WorkspaceError as exc:
+            raise _under(key, exc) from None
+        try:
+            return self.build(got, ctx)
+        except WorkspaceError:
+            raise
+        except ValueError as exc:
+            raise WorkspaceError("", str(exc)) from None
 
 
-def _as_bool(value: Any, pointer: str) -> bool:
-    if not isinstance(value, bool):
-        raise WorkspaceError(pointer, f"expected a boolean, got {type(value).__name__}")
-    return value
+def _list_of(convert):
+    def convert_list(value: Any, ctx: dict) -> list:
+        items = _array(value)
+        out = []
+        k = 0
+        try:
+            for k, item in enumerate(items):
+                out.append(convert(item, ctx))
+        except WorkspaceError as exc:
+            raise _under(k, exc) from None
+        return out
+
+    return convert_list
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], pointer: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise WorkspaceError(f"{pointer}/{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise WorkspaceError(pointer, f"missing required key {key!r}")
+def _named(kind: str, table: _Table):
+    """A list of ``table`` records as a dict keyed by their first field."""
+    key = table.fields[0][0]
+    records = _list_of(table)
+
+    def convert(value: Any, ctx: dict) -> dict:
+        out: dict[str, Any] = {}
+        for k, (item, record) in enumerate(zip(value, records(value, ctx))):
+            if item[key] in out:
+                raise WorkspaceError(f"/{k}/{key}", f"duplicate {kind} {key} {item[key]!r}")
+            out[item[key]] = record
+        return out
+
+    return convert
 
 
-def _as_sign(value: Any, pointer: str) -> int:
-    text = _as_str(value, pointer)
+def _nullable(convert):
+    return lambda value, ctx: None if value is None else convert(value, ctx)
+
+
+def _positive(what: str):
+    def convert(value: Any, ctx: dict) -> int:
+        if _int(value) < 1:
+            raise WorkspaceError("", f"expected a positive {what}, got {value}")
+        return value
+
+    return convert
+
+
+_size = _positive("size")
+
+
+def _choice(values: Mapping[str, Any], expected: str):
+    def convert(value: Any, ctx: dict) -> Any:
+        if _str(value) not in values:
+            raise WorkspaceError("", f"expected {expected}, got {value!r}")
+        return values[value]
+
+    return convert
+
+
+def _sign(value: Any, ctx: dict) -> int:
+    text = _str(value)
     try:
         return parse_sign(text)
     except ValueError as exc:
-        raise WorkspaceError(pointer, str(exc)) from None
+        raise WorkspaceError("", str(exc)) from None
+
+
+def _label_id(value: Any, ctx: dict) -> str:
+    if _str(value) not in ctx["labels"]:
+        raise WorkspaceError("", f"undeclared label id {value!r}")
+    return value
+
+
+def _self_dual_label_id(value: Any, ctx: dict) -> str:
+    if not ctx["labels"][_label_id(value, ctx)].self_dual:
+        raise WorkspaceError("", f"label {value!r} must be self-dual in a global datum")
+    return value
+
+
+_label_ids = _list_of(_label_id)
+
+
+def _label_pair(value: Any, ctx: dict) -> tuple[str, str]:
+    ids = _label_ids(value, ctx)
+    if len(ids) != 2:
+        raise WorkspaceError("", f"expected a pair of label ids, got {len(ids)} entries")
+    return ids[0], ids[1]
 
 
 @dataclass
@@ -140,212 +241,105 @@ class Workspace:
     global_jords: dict[str, GlobalJord]
 
 
+def _param_entry(got: dict, ctx: dict) -> ParamEntry:
+    blocks, order, t, eta = got["jord"], got["order"], got["t"], got["eta"]
+    n = len(blocks)
+    if order is not None and sorted(order) != list(range(n)):
+        raise WorkspaceError("/order", f"expected a permutation of 0..{n - 1}")
+    if (t is None) != (eta is None):
+        raise WorkspaceError("", "keys 't' and 'eta' must be given together")
+    if t is not None and not len(t) == len(eta) == n:
+        raise WorkspaceError("", f"'t' and 'eta' must each cover all {n} blocks")
+    return ParamEntry(
+        parameter=ArthurParameter(group=ctx["group"], blocks=blocks),
+        order=None if order is None else tuple(order),
+        params=None if t is None else PacketParams(t=t, eta=eta),
+    )
+
+
+def _workspace(got: dict, ctx: dict) -> Workspace:
+    # Absent and null lfacts both declare no facts.
+    return Workspace(
+        labels=got["labels"],
+        group=got["group"],
+        lcontext=LContext.build(got["labels"]) if got["lfacts"] is None else got["lfacts"],
+        parameters=got["parameters"] or {},
+        arch=got["arch"] or {},
+        global_jords=got["global"] or {},
+    )
+
+
 _PARITY_VALUES = {p.value: p for p in Parity}
 _KIND_VALUES = {k.value: k for k in GroupKind}
-
-
-def _parse_labels(raw: Any) -> dict[str, CuspidalLabel]:
-    labels: dict[str, CuspidalLabel] = {}
-    for i, item in enumerate(_as_list(raw, "/labels")):
-        p = f"/labels/{i}"
-        obj = _as_obj(item, p)
-        _check_keys(obj, {"id", "dim", "self_dual", "parity"}, {"id", "dim", "self_dual"}, p)
-        lid = _as_str(obj["id"], f"{p}/id")
-        if lid in labels:
-            raise WorkspaceError(f"{p}/id", f"duplicate label id {lid!r}")
-        parity = None
-        if obj.get("parity") is not None:
-            text = _as_str(obj["parity"], f"{p}/parity")
-            if text not in _PARITY_VALUES:
-                raise WorkspaceError(
-                    f"{p}/parity", f"expected 'orthogonal', 'symplectic', or null, got {text!r}"
-                )
-            parity = _PARITY_VALUES[text]
-        try:
-            labels[lid] = CuspidalLabel(
-                id=lid,
-                dim=_as_int(obj["dim"], f"{p}/dim"),
-                self_dual=_as_bool(obj["self_dual"], f"{p}/self_dual"),
-                parity=parity,
-            )
-        except ValueError as exc:
-            raise WorkspaceError(p, str(exc)) from None
-    return labels
-
-
-def _parse_group(raw: Any) -> GroupType:
-    p = "/group"
-    obj = _as_obj(raw, p)
-    _check_keys(obj, {"kind", "m_star", "epsilon"}, {"kind", "m_star"}, p)
-    kind_text = _as_str(obj["kind"], f"{p}/kind")
-    if kind_text not in _KIND_VALUES:
-        raise WorkspaceError(f"{p}/kind", f"expected one of {sorted(_KIND_VALUES)}, got {kind_text!r}")
-    epsilon = _as_sign(obj["epsilon"], f"{p}/epsilon") if "epsilon" in obj else 1
-    try:
-        return GroupType(_KIND_VALUES[kind_text], _as_int(obj["m_star"], f"{p}/m_star"), epsilon)
-    except ValueError as exc:
-        raise WorkspaceError(p, str(exc)) from None
-
-
-def _parse_id_pairs(raw: Any, pointer: str, labels: Mapping[str, CuspidalLabel]) -> list[tuple[str, str]]:
-    pairs = []
-    for i, item in enumerate(_as_list(raw, pointer)):
-        p = f"{pointer}/{i}"
-        pair = _as_list(item, p)
-        if len(pair) != 2:
-            raise WorkspaceError(p, f"expected a pair of label ids, got {len(pair)} entries")
-        ids = []
-        for j, one in enumerate(pair):
-            lid = _as_str(one, f"{p}/{j}")
-            if lid not in labels:
-                raise WorkspaceError(f"{p}/{j}", f"undeclared label id {lid!r}")
-            ids.append(lid)
-        pairs.append((ids[0], ids[1]))
-    return pairs
-
-
-def _parse_lfacts(raw: Any, labels: Mapping[str, CuspidalLabel]) -> LContext:
-    p = "/lfacts"
-    obj = _as_obj(raw, p) if raw is not None else {}
-    _check_keys(obj, {"rg_pole_at_1", "central_nonvanishing", "central_vanishing"}, set(), p)
-    pole = []
-    for i, item in enumerate(_as_list(obj.get("rg_pole_at_1", []), f"{p}/rg_pole_at_1")):
-        lid = _as_str(item, f"{p}/rg_pole_at_1/{i}")
-        if lid not in labels:
-            raise WorkspaceError(f"{p}/rg_pole_at_1/{i}", f"undeclared label id {lid!r}")
-        pole.append(lid)
-    nonvan = _parse_id_pairs(obj.get("central_nonvanishing", []), f"{p}/central_nonvanishing", labels)
-    van = _parse_id_pairs(obj.get("central_vanishing", []), f"{p}/central_vanishing", labels)
-    try:
-        return LContext.build(labels.keys(), pole, nonvan, van)
-    except ValueError as exc:
-        raise WorkspaceError(p, str(exc)) from None
-
-
-def _parse_parameters(
-    raw: Any, labels: Mapping[str, CuspidalLabel], group: GroupType
-) -> dict[str, ParamEntry]:
-    entries: dict[str, ParamEntry] = {}
-    for i, item in enumerate(_as_list(raw, "/parameters")):
-        p = f"/parameters/{i}"
-        obj = _as_obj(item, p)
-        _check_keys(obj, {"name", "jord", "order", "t", "eta"}, {"name", "jord"}, p)
-        name = _as_str(obj["name"], f"{p}/name")
-        if name in entries:
-            raise WorkspaceError(f"{p}/name", f"duplicate parameter name {name!r}")
-
-        blocks: list[JordanBlock] = []
-        for j, bitem in enumerate(_as_list(obj["jord"], f"{p}/jord")):
-            pj = f"{p}/jord/{j}"
-            bobj = _as_obj(bitem, pj)
-            _check_keys(bobj, {"rho", "a", "b", "twist_num", "twist_den"}, {"rho", "a", "b"}, pj)
-            rho = _as_str(bobj["rho"], f"{pj}/rho")
-            if rho not in labels:
-                raise WorkspaceError(f"{pj}/rho", f"undeclared label id {rho!r}")
-            num = _as_int(bobj.get("twist_num", 0), f"{pj}/twist_num")
-            den = _as_int(bobj.get("twist_den", 1), f"{pj}/twist_den")
-            if den < 1:
-                raise WorkspaceError(f"{pj}/twist_den", f"expected a positive denominator, got {den}")
-            a = _as_int(bobj["a"], f"{pj}/a")
-            if a < 1:
-                raise WorkspaceError(f"{pj}/a", f"expected a positive size, got {a}")
-            b = _as_int(bobj["b"], f"{pj}/b")
-            if b < 1:
-                raise WorkspaceError(f"{pj}/b", f"expected a positive size, got {b}")
-            try:
-                blocks.append(JordanBlock(rho=rho, a=a, b=b, twist=Fraction(num, den)))
-            except ValueError as exc:
-                raise WorkspaceError(pj, str(exc)) from None
-        n = len(blocks)
-
-        order = None
-        if "order" in obj:
-            order_list = [
-                _as_int(v, f"{p}/order/{k}")
-                for k, v in enumerate(_as_list(obj["order"], f"{p}/order"))
-            ]
-            if sorted(order_list) != list(range(n)):
-                raise WorkspaceError(f"{p}/order", f"expected a permutation of 0..{n - 1}")
-            order = tuple(order_list)
-
-        params = None
-        if ("t" in obj) != ("eta" in obj):
-            raise WorkspaceError(p, "keys 't' and 'eta' must be given together")
-        if "t" in obj:
-            t_list = [
-                _as_int(v, f"{p}/t/{k}") for k, v in enumerate(_as_list(obj["t"], f"{p}/t"))
-            ]
-            eta_list = [
-                _as_sign(v, f"{p}/eta/{k}") for k, v in enumerate(_as_list(obj["eta"], f"{p}/eta"))
-            ]
-            if len(t_list) != n or len(eta_list) != n:
-                raise WorkspaceError(p, f"'t' and 'eta' must each cover all {n} blocks")
-            params = PacketParams(t=tuple(t_list), eta=tuple(eta_list))
-
-        entries[name] = ParamEntry(
-            parameter=ArthurParameter(group=group, blocks=tuple(blocks)),
-            order=order,
-            params=params,
-        )
-    return entries
-
-
-def _parse_arch(raw: Any) -> dict[str, tuple[ArchBlock, ...]]:
-    result: dict[str, tuple[ArchBlock, ...]] = {}
-    for i, item in enumerate(_as_list(raw, "/arch")):
-        p = f"/arch/{i}"
-        obj = _as_obj(item, p)
-        _check_keys(obj, {"name", "blocks"}, {"name", "blocks"}, p)
-        name = _as_str(obj["name"], f"{p}/name")
-        if name in result:
-            raise WorkspaceError(f"{p}/name", f"duplicate arch name {name!r}")
-        blocks = []
-        for j, bitem in enumerate(_as_list(obj["blocks"], f"{p}/blocks")):
-            pj = f"{p}/blocks/{j}"
-            bobj = _as_obj(bitem, pj)
-            _check_keys(bobj, {"a_delta", "b", "ell"}, {"a_delta", "b"}, pj)
-            ell = None
-            if bobj.get("ell") is not None:
-                ell = _as_int(bobj["ell"], f"{pj}/ell")
-            a_delta = _as_int(bobj["a_delta"], f"{pj}/a_delta")
-            if a_delta < 1:
-                raise WorkspaceError(f"{pj}/a_delta", f"expected a positive size, got {a_delta}")
-            b = _as_int(bobj["b"], f"{pj}/b")
-            if b < 1:
-                raise WorkspaceError(f"{pj}/b", f"expected a positive size, got {b}")
-            blocks.append(ArchBlock(a_delta=a_delta, b=b, ell=ell))
-        result[name] = tuple(blocks)
-    return result
-
-
-def _parse_global(raw: Any, labels: Mapping[str, CuspidalLabel]) -> dict[str, GlobalJord]:
-    result: dict[str, GlobalJord] = {}
-    for i, item in enumerate(_as_list(raw, "/global")):
-        p = f"/global/{i}"
-        obj = _as_obj(item, p)
-        _check_keys(obj, {"name", "pairs"}, {"name", "pairs"}, p)
-        name = _as_str(obj["name"], f"{p}/name")
-        if name in result:
-            raise WorkspaceError(f"{p}/name", f"duplicate global name {name!r}")
-        pairs = []
-        for j, pitem in enumerate(_as_list(obj["pairs"], f"{p}/pairs")):
-            pj = f"{p}/pairs/{j}"
-            pobj = _as_obj(pitem, pj)
-            _check_keys(pobj, {"rho", "b"}, {"rho", "b"}, pj)
-            rho = _as_str(pobj["rho"], f"{pj}/rho")
-            if rho not in labels:
-                raise WorkspaceError(f"{pj}/rho", f"undeclared label id {rho!r}")
-            if not labels[rho].self_dual:
-                raise WorkspaceError(f"{pj}/rho", f"label {rho!r} must be self-dual in a global datum")
-            b = _as_int(pobj["b"], f"{pj}/b")
-            if b < 1:
-                raise WorkspaceError(f"{pj}/b", f"expected a positive size, got {b}")
-            pairs.append((rho, b))
-        try:
-            result[name] = GlobalJord(pairs=tuple(pairs))
-        except ValueError as exc:
-            raise WorkspaceError(p, str(exc)) from None
-    return result
+_LABEL = _Table(
+    lambda got, ctx: CuspidalLabel(**got),
+    ("id", _str, _REQUIRED),
+    ("dim", _int, _REQUIRED),
+    ("self_dual", _bool, _REQUIRED),
+    ("parity", _nullable(_choice(_PARITY_VALUES, "'orthogonal', 'symplectic', or null")), None),
+)
+_GROUP = _Table(
+    lambda got, ctx: GroupType(got["kind"], got["m_star"], got["epsilon"]),
+    ("kind", _choice(_KIND_VALUES, f"one of {sorted(_KIND_VALUES)}"), _REQUIRED),
+    ("m_star", _int, _REQUIRED),
+    ("epsilon", _sign, PLUS),
+)
+_LFACTS = _Table(
+    lambda got, ctx: LContext.build(
+        ctx["labels"], got["rg_pole_at_1"], got["central_nonvanishing"], got["central_vanishing"]
+    ),
+    ("rg_pole_at_1", _label_ids, ()),
+    ("central_nonvanishing", _list_of(_label_pair), ()),
+    ("central_vanishing", _list_of(_label_pair), ()),
+)
+_BLOCK = _Table(
+    lambda got, ctx: JordanBlock(
+        got["rho"], got["a"], got["b"], Fraction(got["twist_num"], got["twist_den"])
+    ),
+    ("rho", _label_id, _REQUIRED),
+    ("a", _size, _REQUIRED),
+    ("b", _size, _REQUIRED),
+    ("twist_num", _int, 0),
+    ("twist_den", _positive("denominator"), 1),
+)
+_PARAMETER = _Table(
+    _param_entry,
+    ("name", _str, _REQUIRED),
+    ("jord", _list_of(_BLOCK), _REQUIRED),
+    ("order", _list_of(_int), None),
+    ("t", _list_of(_int), None),
+    ("eta", _list_of(_sign), None),
+)
+_ARCH_BLOCK = _Table(
+    lambda got, ctx: ArchBlock(**got),
+    ("a_delta", _size, _REQUIRED),
+    ("b", _size, _REQUIRED),
+    ("ell", _nullable(_int), None),
+)
+_ARCH = _Table(
+    lambda got, ctx: tuple(got["blocks"]),
+    ("name", _str, _REQUIRED),
+    ("blocks", _list_of(_ARCH_BLOCK), _REQUIRED),
+)
+_PAIR = _Table(
+    lambda got, ctx: (got["rho"], got["b"]),
+    ("rho", _self_dual_label_id, _REQUIRED),
+    ("b", _size, _REQUIRED),
+)
+_GLOBAL = _Table(
+    lambda got, ctx: GlobalJord(pairs=got["pairs"]),
+    ("name", _str, _REQUIRED),
+    ("pairs", _list_of(_PAIR), _REQUIRED),
+)
+_ROOT = _Table(
+    _workspace,
+    ("labels", _named("label", _LABEL), _REQUIRED),
+    ("group", _GROUP, _REQUIRED),
+    ("lfacts", _nullable(_LFACTS), None),
+    ("parameters", _named("parameter", _PARAMETER), None),
+    ("arch", _named("arch", _ARCH), None),
+    ("global", _named("global", _GLOBAL), None),
+)
 
 
 def parse_workspace(text: str | bytes) -> Workspace:
@@ -355,27 +349,7 @@ def parse_workspace(text: str | bytes) -> Workspace:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkspaceError("", f"invalid JSON: {exc}") from None
-    root = _as_obj(data, "")
-    _check_keys(
-        root,
-        {"labels", "group", "lfacts", "parameters", "arch", "global"},
-        {"labels", "group"},
-        "",
-    )
-    labels = _parse_labels(root["labels"])
-    group = _parse_group(root["group"])
-    lctx = _parse_lfacts(root.get("lfacts"), labels)
-    parameters = _parse_parameters(root.get("parameters", []), labels, group)
-    arch = _parse_arch(root.get("arch", []))
-    global_jords = _parse_global(root.get("global", []), labels)
-    return Workspace(
-        labels=labels,
-        group=group,
-        lcontext=lctx,
-        parameters=parameters,
-        arch=arch,
-        global_jords=global_jords,
-    )
+    return _ROOT(data, None)
 
 
 def _block_doc(blk: JordanBlock) -> dict:
@@ -470,16 +444,11 @@ def _load_workspace(args: argparse.Namespace) -> Workspace:
         return parse_workspace(fh.read())
 
 
-def _get_entry(ws: Workspace, name: str) -> ParamEntry:
-    if name not in ws.parameters:
-        raise ValueError(f"unknown parameter: {name!r}")
-    return ws.parameters[name]
-
-
-def _get_target(ws: Workspace, rho: str, a0: int, b0: int) -> TargetTriple:
-    if rho not in ws.labels:
-        raise ValueError(f"undeclared label: {rho!r}")
-    return TargetTriple(rho=rho, a0=a0, b0=b0)
+def _lookup(table: Mapping[str, Any], key: str, what: str) -> Any:
+    """``table[key]``, or a ValueError naming ``what`` and the key."""
+    if key not in table:
+        raise ValueError(f"{what}: {key!r}")
+    return table[key]
 
 
 def _violation_docs(violations, where: str | None = None) -> list[dict]:
@@ -497,21 +466,18 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     names = [args.param] if args.param else list(ws.parameters)
     docs: list[dict] = []
     for name in names:
-        entry = _get_entry(ws, name)
+        entry = _lookup(ws.parameters, name, "unknown parameter")
         where = f"parameters/{name}"
         docs.extend(_violation_docs(validate_parameter(entry.parameter, ws.labels), where))
         if entry.params is not None:
-            docs.extend(
-                _violation_docs(
-                    validate_params(entry.ordered(), entry.params, ws.group.epsilon), where
-                )
-            )
+            found = validate_params(entry.ordered(), entry.params, ws.group.epsilon)
+            docs.extend(_violation_docs(found, where))
     return (EXIT_FAIL if docs else EXIT_OK), {"violations": docs}
 
 
 def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
     epsilon = parse_sign(args.epsilon) if args.epsilon else ws.group.epsilon
     found = enumerate_params(entry.ordered(), epsilon)
     if args.count:
@@ -526,8 +492,8 @@ def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
-    target = _get_target(ws, args.rho, args.a0, args.b0)
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+    target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
     side = PSI_PLUS_SIDE if args.side == "psi_plus" else PSI_SIDE
     if args.validate:
         violations = validate_order(entry.ordered(), target, side)
@@ -549,21 +515,18 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
-    if args.rho not in ws.labels:
-        raise ValueError(f"undeclared label: {args.rho!r}")
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+    rho = _lookup(ws.labels, args.rho, "undeclared label").id
     s0 = parse_halfint(args.s0)
-    return EXIT_OK, {"order": r_order(entry.parameter, args.rho, args.a0, s0)}
+    return EXIT_OK, {"order": r_order(entry.parameter, rho, args.a0, s0)}
 
 
 def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
-    target = _get_target(ws, args.rho, args.a0, args.b0)
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+    target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
     if entry.params is None:
-        raise ValueError(
-            f"parameter {args.param!r} declares no packet coordinates (t/eta)"
-        )
+        raise ValueError(f"parameter {args.param!r} declares no packet coordinates (t/eta)")
     psi_plus = build_psi_plus(entry.parameter, target, ws.labels)
     new_order, new_params = apply_transfer(
         entry.ordered(), entry.params, target, insert_position=args.insert_position
@@ -597,38 +560,28 @@ def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
         )
         nf = jac_normal_form(JacSequence(args.rho or "", exps))
         return EXIT_OK, {"exponents_x2": [e.doubled for e in nf.exponents]}
-    if args.param is None or args.seg_from is None or args.seg_to is None:
-        raise UsageError("--nonvanishing requires --param, --from, and --to")
+    if None in (args.param, args.rho, args.seg_from, args.seg_to):
+        raise UsageError("--nonvanishing requires --param, --rho, --from, and --to")
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
-    if args.rho is None or args.rho not in ws.labels:
-        raise ValueError(f"undeclared label: {args.rho!r}")
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+    rho = _lookup(ws.labels, args.rho, "undeclared label").id
     seg = Segment(parse_halfint(args.seg_from), parse_halfint(args.seg_to))
     return EXIT_OK, {
-        "nonvanishing_possible": jac_nonvanishing_necessary(
-            entry.parameter, args.rho, seg
-        )
+        "nonvanishing_possible": jac_nonvanishing_necessary(entry.parameter, rho, seg)
     }
 
 
 def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    entry = _get_entry(ws, args.param)
-    if args.rho not in ws.labels:
-        raise ValueError(f"undeclared label: {args.rho!r}")
-    verdict = irreducible_cuspidal_twist(entry.parameter, args.rho, parse_halfint(args.x))
+    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+    rho = _lookup(ws.labels, args.rho, "undeclared label").id
+    verdict = irreducible_cuspidal_twist(entry.parameter, rho, parse_halfint(args.x))
     return EXIT_OK, {"verdict": verdict.value}
-
-
-def _get_arch(ws: Workspace, name: str) -> tuple[ArchBlock, ...]:
-    if name not in ws.arch:
-        raise ValueError(f"unknown arch input: {name!r}")
-    return ws.arch[name]
 
 
 def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    blocks = _get_arch(ws, args.arch)
+    blocks = _lookup(ws.arch, args.arch, "unknown arch input")
     if args.a_tau is not None:
         if args.s0 is None:
             raise UsageError("--a-tau requires --s0")
@@ -643,7 +596,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_arch_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    blocks = _get_arch(ws, args.arch)
+    blocks = _lookup(ws.arch, args.arch, "unknown arch input")
     s0 = parse_halfint(args.s0)
     return EXIT_OK, {"order": normalization_order(tuple(args.a_tau), blocks, s0)}
 
@@ -653,13 +606,10 @@ _TRIBOOL_FLAGS = {"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}
 
 def _cmd_eisenstein(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    if args.global_name not in ws.global_jords:
-        raise ValueError(f"unknown global datum: {args.global_name!r}")
-    jord = ws.global_jords[args.global_name]
-    if args.rho not in ws.labels:
-        raise ValueError(f"undeclared label: {args.rho!r}")
+    jord = _lookup(ws.global_jords, args.global_name, "unknown global datum")
+    rho = _lookup(ws.labels, args.rho, "undeclared label").id
     s0 = Fraction(args.s0)
-    verdict = eisenstein_verdict(jord, args.rho, s0, ws.lcontext)
+    verdict = eisenstein_verdict(jord, rho, s0, ws.lcontext)
     payload: dict[str, Any] = {
         "kind": verdict.kind.value,
         "cond1": verdict.cond1,

@@ -174,11 +174,11 @@ def apply_transfer(
         t_list.insert(insert_position, t_plus)
         eta_list.insert(insert_position, eta_plus)
     else:
+        # induced_order's replacement, at the pivot index already found.
         idx = locate_pivot(blocks, target, PSI_SIDE)
         assert idx is not None
-        t_plus, eta_plus = transfer_params(
+        t_list[idx], eta_list[idx] = transfer_params(
             t_list[idx], eta_list[idx], target.a0, target.b0
         )
-        new_order = induced_order(blocks, target)
-        t_list[idx], eta_list[idx] = t_plus, eta_plus
+        new_order = OrderedJord(blocks[:idx] + (target.plus_block(),) + blocks[idx + 1:])
     return new_order, PacketParams(t=tuple(t_list), eta=tuple(eta_list))

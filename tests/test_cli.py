@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -22,6 +24,7 @@ from apackets.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 DEMO = DATA / "demo_workspace.json"
 SP = DATA / "sp_workspace.json"
 
@@ -197,6 +200,185 @@ def test_global_label_must_be_self_dual():
     pointer, message = _pointer_of(json.dumps(doc))
     assert pointer == "/global/0/pairs/0/rho"
     assert "self-dual" in message
+
+
+_DROP = object()
+
+# One document per schema check: the demo workspace with one edit (pointer,
+# new value; _DROP deletes the key, "-" appends), and the (pointer, message)
+# of the error; None for an edit the schema accepts.
+_SCHEMA_FAULTS = [
+    ("", [], "", "expected an object, got list"),
+    ("/bogus", [], "/bogus", "unknown key"),
+    ("/group", _DROP, "", "missing required key 'group'"),
+    ("/labels", {}, "/labels", "expected an array, got dict"),
+    ("/labels/0", 1, "/labels/0", "expected an object, got int"),
+    ("/labels/0/bogus", 1, "/labels/0/bogus", "unknown key"),
+    ("/labels/0/self_dual", _DROP, "/labels/0", "missing required key 'self_dual'"),
+    ("/labels/3/id", 7, "/labels/3/id", "expected a string, got int"),
+    ("/labels/3/id", "u", "/labels/3/id", "duplicate label id 'u'"),
+    ("/labels/0/id", "", "/labels/0", "label id must be nonempty"),
+    ("/labels/0/dim", "x", "/labels/0/dim", "expected an integer, got str"),
+    ("/labels/0/dim", 0, "/labels/0", "label dimension must be >= 1, got 0"),
+    ("/labels/0/self_dual", 1, "/labels/0/self_dual", "expected a boolean, got int"),
+    ("/labels/0/parity", 1, "/labels/0/parity", "expected a string, got int"),
+    ("/labels/0/parity", "selfdual", "/labels/0/parity",
+     "expected 'orthogonal', 'symplectic', or null, got 'selfdual'"),
+    ("/labels/2/parity", "orthogonal", "/labels/2",
+     "label 'u': parity declared but not self-dual"),
+    ("/group", [], "/group", "expected an object, got list"),
+    ("/group/bogus", 1, "/group/bogus", "unknown key"),
+    ("/group/kind", _DROP, "/group", "missing required key 'kind'"),
+    ("/group/kind", 1, "/group/kind", "expected a string, got int"),
+    ("/group/kind", "GL", "/group/kind", "expected one of ['Oeven', 'SOodd', 'Sp'], got 'GL'"),
+    ("/group/m_star", "x", "/group/m_star", "expected an integer, got str"),
+    ("/group/m_star", 0, "/group", "rank_dim must be >= 1, got 0"),
+    ("/group/epsilon", 1, "/group/epsilon", "expected a string, got int"),
+    ("/group/epsilon", "x", "/group/epsilon", "not a sign: 'x'"),
+    ("/lfacts", None, None, None),
+    ("/lfacts", [], "/lfacts", "expected an object, got list"),
+    ("/lfacts/bogus", [], "/lfacts/bogus", "unknown key"),
+    ("/lfacts/rg_pole_at_1", "r", "/lfacts/rg_pole_at_1", "expected an array, got str"),
+    ("/lfacts/rg_pole_at_1/-", 1, "/lfacts/rg_pole_at_1/1", "expected a string, got int"),
+    ("/lfacts/rg_pole_at_1/-", "zz", "/lfacts/rg_pole_at_1/1", "undeclared label id 'zz'"),
+    ("/lfacts/central_vanishing", {}, "/lfacts/central_vanishing",
+     "expected an array, got dict"),
+    ("/lfacts/central_nonvanishing/0", "r", "/lfacts/central_nonvanishing/0",
+     "expected an array, got str"),
+    ("/lfacts/central_nonvanishing/0", ["r", "r", "r"], "/lfacts/central_nonvanishing/0",
+     "expected a pair of label ids, got 3 entries"),
+    ("/lfacts/central_nonvanishing/0", ["r"], "/lfacts/central_nonvanishing/0",
+     "expected a pair of label ids, got 1 entries"),
+    ("/lfacts/central_nonvanishing/0/1", 2, "/lfacts/central_nonvanishing/0/1",
+     "expected a string, got int"),
+    ("/lfacts/central_nonvanishing/0/1", "zz", "/lfacts/central_nonvanishing/0/1",
+     "undeclared label id 'zz'"),
+    ("/lfacts/central_nonvanishing/-", ["rs", "r"], "/lfacts",
+     "pairs declared both nonvanishing and vanishing: [('r', 'rs')]"),
+    ("/parameters", {}, "/parameters", "expected an array, got dict"),
+    ("/parameters/0", [], "/parameters/0", "expected an object, got list"),
+    ("/parameters/0/bogus", 1, "/parameters/0/bogus", "unknown key"),
+    ("/parameters/0/jord", _DROP, "/parameters/0", "missing required key 'jord'"),
+    ("/parameters/0/name", 1, "/parameters/0/name", "expected a string, got int"),
+    ("/parameters/1/name", "P", "/parameters/1/name", "duplicate parameter name 'P'"),
+    ("/parameters/0/jord", {}, "/parameters/0/jord", "expected an array, got dict"),
+    ("/parameters/0/jord/0", 1, "/parameters/0/jord/0", "expected an object, got int"),
+    ("/parameters/0/jord/0/bogus", 1, "/parameters/0/jord/0/bogus", "unknown key"),
+    ("/parameters/0/jord/0/b", _DROP, "/parameters/0/jord/0", "missing required key 'b'"),
+    ("/parameters/0/jord/0/rho", 1, "/parameters/0/jord/0/rho", "expected a string, got int"),
+    ("/parameters/0/jord/0/rho", "zz", "/parameters/0/jord/0/rho", "undeclared label id 'zz'"),
+    ("/parameters/0/jord/0/twist_num", "1", "/parameters/0/jord/0/twist_num",
+     "expected an integer, got str"),
+    ("/parameters/0/jord/0/twist_den", 1.0, "/parameters/0/jord/0/twist_den",
+     "expected an integer, got float"),
+    ("/parameters/0/jord/0/twist_den", 0, "/parameters/0/jord/0/twist_den",
+     "expected a positive denominator, got 0"),
+    ("/parameters/0/jord/0/a", True, "/parameters/0/jord/0/a", "expected an integer, got bool"),
+    ("/parameters/0/jord/0/a", 0, "/parameters/0/jord/0/a", "expected a positive size, got 0"),
+    ("/parameters/0/jord/0/b", None, "/parameters/0/jord/0/b",
+     "expected an integer, got NoneType"),
+    ("/parameters/0/jord/0/b", -1, "/parameters/0/jord/0/b", "expected a positive size, got -1"),
+    ("/parameters/0/jord/0/twist_num", -7, "/parameters/0/jord/0",
+     "twist must satisfy |x| < 1/2, got -7"),
+    ("/parameters/0/order", "0", "/parameters/0/order", "expected an array, got str"),
+    ("/parameters/0/order", None, "/parameters/0/order", "expected an array, got NoneType"),
+    ("/parameters/0/order/2", "0", "/parameters/0/order/2", "expected an integer, got str"),
+    ("/parameters/0/order/2", 1, "/parameters/0/order", "expected a permutation of 0..3"),
+    ("/parameters/0/eta", _DROP, "/parameters/0", "keys 't' and 'eta' must be given together"),
+    ("/parameters/1/t", [0, 0], "/parameters/1", "keys 't' and 'eta' must be given together"),
+    ("/parameters/0/t", {}, "/parameters/0/t", "expected an array, got dict"),
+    ("/parameters/0/t", None, "/parameters/0/t", "expected an array, got NoneType"),
+    ("/parameters/0/t/1", "1", "/parameters/0/t/1", "expected an integer, got str"),
+    ("/parameters/0/eta", "+", "/parameters/0/eta", "expected an array, got str"),
+    ("/parameters/0/eta/1", 1, "/parameters/0/eta/1", "expected a string, got int"),
+    ("/parameters/0/eta/1", "x", "/parameters/0/eta/1", "not a sign: 'x'"),
+    ("/parameters/0/eta", ["+", "+", "+"], "/parameters/0",
+     "'t' and 'eta' must each cover all 4 blocks"),
+    ("/parameters/0/t", [0, 1, 0, 1, 0], "/parameters/0",
+     "'t' and 'eta' must each cover all 4 blocks"),
+    ("/arch", {}, "/arch", "expected an array, got dict"),
+    ("/arch/0", "AR", "/arch/0", "expected an object, got str"),
+    ("/arch/0/bogus", 1, "/arch/0/bogus", "unknown key"),
+    ("/arch/0/blocks", _DROP, "/arch/0", "missing required key 'blocks'"),
+    ("/arch/0/name", None, "/arch/0/name", "expected a string, got NoneType"),
+    ("/arch/1/name", "AR", "/arch/1/name", "duplicate arch name 'AR'"),
+    ("/arch/0/blocks", 3, "/arch/0/blocks", "expected an array, got int"),
+    ("/arch/0/blocks/0", [], "/arch/0/blocks/0", "expected an object, got list"),
+    ("/arch/0/blocks/0/bogus", 1, "/arch/0/blocks/0/bogus", "unknown key"),
+    ("/arch/0/blocks/0/a_delta", _DROP, "/arch/0/blocks/0", "missing required key 'a_delta'"),
+    ("/arch/0/blocks/0/ell", None, None, None),
+    ("/arch/0/blocks/0/ell", "2", "/arch/0/blocks/0/ell", "expected an integer, got str"),
+    ("/arch/0/blocks/0/a_delta", "3", "/arch/0/blocks/0/a_delta", "expected an integer, got str"),
+    ("/arch/0/blocks/0/a_delta", 0, "/arch/0/blocks/0/a_delta", "expected a positive size, got 0"),
+    ("/arch/0/blocks/0/b", [], "/arch/0/blocks/0/b", "expected an integer, got list"),
+    ("/arch/0/blocks/0/b", 0, "/arch/0/blocks/0/b", "expected a positive size, got 0"),
+    ("/global", {}, "/global", "expected an array, got dict"),
+    ("/global/0", 1, "/global/0", "expected an object, got int"),
+    ("/global/0/bogus", 1, "/global/0/bogus", "unknown key"),
+    ("/global/0/pairs", _DROP, "/global/0", "missing required key 'pairs'"),
+    ("/global/0/name", 1, "/global/0/name", "expected a string, got int"),
+    ("/global/1/name", "G1", "/global/1/name", "duplicate global name 'G1'"),
+    ("/global/0/pairs", {}, "/global/0/pairs", "expected an array, got dict"),
+    ("/global/0/pairs/0", ["r", 3], "/global/0/pairs/0", "expected an object, got list"),
+    ("/global/0/pairs/0/bogus", 1, "/global/0/pairs/0/bogus", "unknown key"),
+    ("/global/0/pairs/0/rho", _DROP, "/global/0/pairs/0", "missing required key 'rho'"),
+    ("/global/0/pairs/0/rho", 1, "/global/0/pairs/0/rho", "expected a string, got int"),
+    ("/global/0/pairs/0/rho", "zz", "/global/0/pairs/0/rho", "undeclared label id 'zz'"),
+    ("/global/0/pairs/0/rho", "u", "/global/0/pairs/0/rho",
+     "label 'u' must be self-dual in a global datum"),
+    ("/global/0/pairs/0/b", "3", "/global/0/pairs/0/b", "expected an integer, got str"),
+    ("/global/0/pairs/0/b", 0, "/global/0/pairs/0/b", "expected a positive size, got 0"),
+]
+
+
+def _edited_demo(pointer, value):
+    doc = json.loads(DEMO.read_text())
+    if not pointer:
+        return json.dumps(value)
+    *path, last = pointer[1:].split("/")
+    parent = doc
+    for part in path:
+        parent = parent[int(part) if isinstance(parent, list) else part]
+    if isinstance(parent, list):
+        last = len(parent) if last == "-" else int(last)
+        parent[last:last + 1] = [] if value is _DROP else [value]
+    elif value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, value, pointer, message",
+    _SCHEMA_FAULTS,
+    ids=[f"{e}={'drop' if v is _DROP else json.dumps(v)}" for e, v, _, _ in _SCHEMA_FAULTS],
+)
+def test_schema_fault_pointer_and_message(edit, value, pointer, message):
+    text = _edited_demo(edit, value)
+    if pointer is None:
+        parse_workspace(text)
+    else:
+        assert _pointer_of(text) == (pointer, message)
+
+
+@pytest.mark.parametrize(
+    "doc, first",
+    [({}, "/: missing required key 'labels'"),
+     ({"labels": [{}], "group": {"kind": "Sp", "m_star": 2}},
+      "/labels/0: missing required key 'id'")],
+    ids=["root", "label"],
+)
+def test_missing_key_message_ignores_hash_seed(doc, first):
+    outputs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "apackets.cli", "validate", "-w", "-"],
+            input=json.dumps(doc), capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(SRC)},
+        )
+        outputs.add((proc.returncode, proc.stdout))
+    assert outputs == {(EXIT_FAIL, json.dumps({"error": first}, indent=2) + "\n")}
 
 
 def test_workspace_error_str_carries_pointer():
@@ -553,6 +735,14 @@ def test_usage_errors_exit_64(capsys):
         _run(capsys, "infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1")[0]
         == EXIT_USAGE
     )  # --a-tau without --s0
+
+
+def test_jac_nonvanishing_without_rho_is_a_usage_error(capsys):
+    code, out, err = _run(
+        capsys, "jac", "--nonvanishing", "-w", str(SP), "--param", "J", "--from", "1", "--to", "4"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--nonvanishing requires --param, --rho, --from, and --to" in err
 
 
 def test_usage_error_text_goes_to_stderr(capsys):

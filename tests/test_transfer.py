@@ -3,6 +3,7 @@ transport."""
 
 import itertools
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,26 @@ def test_apply_transfer_example():
     )
     assert new_params.t == (0, 1, 1, 1)
     assert new_params.eta == (PLUS, PLUS, PLUS, PLUS)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 5),
+    st.integers(3, 7),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=3),
+)
+def test_apply_transfer_scans_for_the_pivot_once(a0, b0, copies, extra_sizes):
+    target = TargetTriple("r", a0, b0)
+    parity = (a0 + b0) % 2
+    blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
+    blocks += [target.prime_block()] * copies
+    ordered = canonical_order(blocks, target, PSI_SIDE)
+    params = PacketParams(t=(0,) * len(blocks), eta=(PLUS,) * len(blocks))
+    with mock.patch("apackets.transfer.locate_pivot", wraps=locate_pivot) as spy:
+        new_order, _ = apply_transfer(ordered, params, target)
+    assert spy.call_count == 1
+    assert new_order == induced_order(ordered, target)
 
 
 def test_apply_transfer_fresh_block():
