@@ -92,8 +92,8 @@ def main() -> None:
     insert = None
     if prime is None:
         # Fresh block goes where the canonical order would place it.
-        A0 = target.quadruple().A.doubled
-        insert = sum(1 for blk in ordered.blocks if blk.quadruple().A.doubled < A0)
+        A0 = target.quadruple().A_x2
+        insert = sum(1 for blk in ordered.blocks if blk.quadruple().A_x2 < A0)
     new_order, new_params = apply_transfer(ordered, params, target, insert_position=insert)
     print(f"\ntransported order: {fmt_blocks(new_order.blocks)}")
     print(f"transported coordinates: t = {list(new_params.t)}, "

@@ -26,13 +26,8 @@ class ArchBlock:
             )
 
 
-def _segment_doubles(b: int) -> range:
-    """Doubled entries (b-1)/2, (b-3)/2, ..., -(b-1)/2."""
-    return range(b - 1, -b, -2)
-
-
-def inf_char(blocks: Iterable[ArchBlock]) -> tuple[HalfInt, ...]:
-    """Infinitesimal-character multiset of the blocks, sorted descending.
+def _inf_char_doubles(blocks: Iterable[ArchBlock]) -> list[int]:
+    """Doubled infinitesimal-character entries of the blocks, unsorted.
 
     Each block contributes the segment of b entries centered at 0, shifted
     by +-(a_delta - 1)/2 (a single unshifted copy when a_delta = 1).
@@ -40,14 +35,18 @@ def inf_char(blocks: Iterable[ArchBlock]) -> tuple[HalfInt, ...]:
     doubles: list[int] = []
     for blk in blocks:
         shift = blk.a_delta - 1
-        for e in _segment_doubles(blk.b):
+        for e in range(blk.b - 1, -blk.b, -2):  # (b-1)/2, (b-3)/2, ..., -(b-1)/2
             if shift == 0:
                 doubles.append(e)
             else:
                 doubles.append(e + shift)
                 doubles.append(e - shift)
-    doubles.sort(reverse=True)
-    return tuple(HalfInt(d) for d in doubles)
+    return doubles
+
+
+def inf_char(blocks: Iterable[ArchBlock]) -> tuple[HalfInt, ...]:
+    """Infinitesimal-character multiset of the blocks, sorted descending."""
+    return tuple(HalfInt(d) for d in sorted(_inf_char_doubles(blocks), reverse=True))
 
 
 def combined_inf_char(
@@ -61,13 +60,11 @@ def combined_inf_char(
     """
     if a_tau < 1:
         raise ValueError(f"a_tau must be >= 1, got {a_tau}")
-    doubles = [e.doubled for e in inf_char(blocks)]
-    tau_pos = {s0.doubled + (a_tau - 1), s0.doubled - (a_tau - 1)}
-    for d in tau_pos:
+    doubles = _inf_char_doubles(blocks)
+    for d in {s0.doubled + (a_tau - 1), s0.doubled - (a_tau - 1)}:
         doubles.append(d)
         doubles.append(-d)
-    doubles.sort(reverse=True)
-    return tuple(HalfInt(d) for d in doubles)
+    return tuple(HalfInt(d) for d in sorted(doubles, reverse=True))
 
 
 def is_regular(entries: Iterable[HalfInt]) -> bool:
@@ -100,7 +97,7 @@ def normalization_order(
 ) -> int:
     """Total pole order of the archimedean normalization at s0 > 0: the sum
     of arch_lfactor_order over every (tau size, block) pair."""
-    if s0 <= 0:
+    if s0.doubled <= 0:
         raise ValueError(f"s0 must be positive, got {s0}")
     total = 0
     for a_tau in tau_sizes:

@@ -109,7 +109,10 @@ class _Table:
         obj = _object(value)
         keys = obj.keys()
         if not keys <= self.keys:
-            raise WorkspaceError(f"/{next(k for k in obj if k not in self.keys)}", "unknown key")
+            unknown = next(k for k in obj if k not in self.keys)
+            # A pointer token escapes '~' and '/' (RFC 6901).
+            token = unknown.replace("~", "~0").replace("/", "~1")
+            raise WorkspaceError(f"/{token}", "unknown key")
         if not keys >= self.required:
             missing = next(k for k, _, d in self.fields if d is _REQUIRED and k not in obj)
             raise WorkspaceError("", f"missing required key {missing!r}")

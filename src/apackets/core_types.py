@@ -1,4 +1,4 @@
-"""Exact half-integer arithmetic, cuspidal labels, group types, and declared
+"""Half-integers, signs, cuspidal labels, group types, and declared
 analytic facts shared by every other module.
 
 All values are immutable and all arithmetic is exact; no floating point is
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 PLUS = 1
 MINUS = -1
@@ -40,105 +40,17 @@ def parse_sign(text: str) -> int:
 
 @dataclass(frozen=True, slots=True)
 class HalfInt:
-    """An element of (1/2)Z, stored as the doubled integer ``2x``."""
+    """An element of (1/2)Z, stored as the doubled integer ``2x``.
+
+    The public API takes and returns half-integers as this type; inside the
+    package they are plain doubled ints, so this type carries no arithmetic.
+    """
 
     doubled: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
             raise TypeError(f"doubled value must be an int, got {self.doubled!r}")
-
-    @classmethod
-    def whole(cls, n: int) -> "HalfInt":
-        """The half-integer equal to the ordinary integer ``n``."""
-        return cls(2 * n)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        """Exact conversion to int; raises if the value is not integral."""
-        if not self.is_integral:
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def as_fraction(self):
-        from fractions import Fraction
-
-        return Fraction(self.doubled, 2)
-
-    def _coerced(self, other: Union["HalfInt", int]) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return HalfInt(2 * other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: Union["HalfInt", int]) -> "HalfInt":
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.doubled + other.doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["HalfInt", int]) -> "HalfInt":
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.doubled - other.doubled)
-
-    def __rsub__(self, other: Union["HalfInt", int]) -> "HalfInt":
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(other.doubled - self.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.doubled))
-
-    def __mul__(self, other: int) -> "HalfInt":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return HalfInt(self.doubled * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _cmp_value(self, other: Union["HalfInt", int]) -> int:
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        return other.doubled
-
-    def __lt__(self, other: Union["HalfInt", int]) -> bool:
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.doubled < v
-
-    def __le__(self, other: Union["HalfInt", int]) -> bool:
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.doubled <= v
-
-    def __gt__(self, other: Union["HalfInt", int]) -> bool:
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.doubled > v
-
-    def __ge__(self, other: Union["HalfInt", int]) -> bool:
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.doubled >= v
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInt):
-            return self.doubled == other.doubled
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.doubled == 2 * other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("HalfInt", self.doubled))
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:
@@ -154,7 +66,7 @@ def parse_halfint(text: str) -> HalfInt:
     text = text.strip()
     if text.endswith("/2"):
         return HalfInt(int(text[:-2]))
-    return HalfInt.whole(int(text))
+    return HalfInt(2 * int(text))
 
 
 class Parity(enum.Enum):

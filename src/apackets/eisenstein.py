@@ -8,15 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .core_types import CentralValue, HalfInt, LContext, TriBool, kleene_and
+from .core_types import CentralValue, LContext, TriBool, kleene_and
 
-RationalLike = Union[Fraction, HalfInt, int]
-
-
-def _as_fraction(s0: RationalLike) -> Fraction:
-    if isinstance(s0, HalfInt):
-        return s0.as_fraction()
-    return Fraction(s0)
+RationalLike = Union[Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ def global_pole_conditions(
     the pair (rho, rho') is nonzero — three-valued, vacuously true.
     Non-half-integral s0 makes both conditions false; s0 < 1/2 raises.
     """
-    s = _as_fraction(s0)
+    s = Fraction(s0)
     if s < Fraction(1, 2):
         raise ValueError(f"s0 must be >= 1/2, got {s}")
     if rho not in ctx.universe:

@@ -38,9 +38,9 @@ class JacSequence:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
 
-def jac_commutes(x: HalfInt, y: HalfInt) -> bool:
-    """Adjacent exponents x, y may be swapped exactly when |x - y| > 1."""
-    return abs(x.doubled - y.doubled) > 2
+def jac_commutes(x_x2: int, y_x2: int) -> bool:
+    """Adjacent exponents x, y (doubled) may be swapped exactly when |x - y| > 1."""
+    return abs(x_x2 - y_x2) > 2
 
 
 def jac_normal_form(seq: JacSequence) -> JacSequence:
@@ -49,18 +49,18 @@ def jac_normal_form(seq: JacSequence) -> JacSequence:
     Greedy: repeatedly emit the smallest exponent that commutes past
     everything before it.
     """
-    remaining = list(seq.exponents)
-    out: list[HalfInt] = []
+    remaining = [e.doubled for e in seq.exponents]
+    out: list[int] = []
     while remaining:
         best_idx = None
         for idx, letter in enumerate(remaining):
             if any(not jac_commutes(letter, remaining[j]) for j in range(idx)):
                 continue
-            if best_idx is None or letter.doubled < remaining[best_idx].doubled:
+            if best_idx is None or letter < remaining[best_idx]:
                 best_idx = idx
         assert best_idx is not None  # idx 0 always qualifies
         out.append(remaining.pop(best_idx))
-    return JacSequence(seq.rho, tuple(out))
+    return JacSequence(seq.rho, tuple(HalfInt(d) for d in out))
 
 
 def jac_nonvanishing_necessary(
@@ -80,21 +80,16 @@ def jac_nonvanishing_necessary(
             raise ValueError(f"twisted block {blk} in chain search (decompose first)")
         quads.append(blk.quadruple())
 
-    x, y = seg.start, seg.stop
-    abs_y = abs(y)
-
-    def signed_b(q) -> HalfInt:
-        return q.B if q.zeta > 0 else -q.B
-
-    frontier = [i for i, q in enumerate(quads) if signed_b(q) == x]
+    x, abs_y = seg.start.doubled, abs(seg.stop.doubled)
+    frontier = [i for i, q in enumerate(quads) if q.zeta * q.B_x2 == x]
     seen = set(frontier)
     while frontier:
         nxt = []
         for i in frontier:
-            if quads[i].A >= abs_y:
+            if quads[i].A_x2 >= abs_y:
                 return True
             for j, q in enumerate(quads):
-                if j not in seen and q.B <= quads[i].A + 1:
+                if j not in seen and q.B_x2 <= quads[i].A_x2 + 2:
                     seen.add(j)
                     nxt.append(j)
         frontier = nxt
@@ -116,16 +111,16 @@ def irreducible_cuspidal_twist(
 
     x = 0 is outside the criterion's scope and raises.
     """
-    if x.doubled == 0:
+    abs_x = abs(x.doubled)
+    if abs_x == 0:
         raise ValueError("x must be nonzero")
-    abs_x = abs(x)
     for blk in psi.blocks:
         if blk.rho != rho:
             continue
         if blk.twist != 0:
             raise ValueError(f"twisted block {blk} in irreducibility check")
         q = blk.quadruple()
-        if q.A < abs_x - 1 or q.B > abs_x:
+        if q.A_x2 < abs_x - 2 or q.B_x2 > abs_x:
             continue
         return IrredVerdict.UNKNOWN
     return IrredVerdict.IRREDUCIBLE

@@ -21,45 +21,43 @@ from .core_types import (
 
 @dataclass(frozen=True, slots=True)
 class Quadruple:
-    """Coordinates (A, B, zeta) of a block: A=(a+b)/2-1, B=|a-b|/2, zeta=sign(a-b)."""
+    """Coordinates (A, B, zeta) of a block, A and B doubled: A_x2 = a+b-2,
+    B_x2 = |a-b|, zeta = sign(a-b)."""
 
-    A: HalfInt
-    B: HalfInt
+    A_x2: int
+    B_x2: int
     zeta: int
 
     def __post_init__(self) -> None:
         check_sign(self.zeta)
 
     def __str__(self) -> str:
-        return f"(A={self.A}, B={self.B}, zeta={sign_str(self.zeta)})"
+        return f"(A={HalfInt(self.A_x2)}, B={HalfInt(self.B_x2)}, zeta={sign_str(self.zeta)})"
 
 
 def to_quadruple(a: int, b: int) -> Quadruple:
     """Quadruple coordinates of the block sizes (a, b); zeta=+ when a=b."""
     if a < 1 or b < 1:
         raise ValueError(f"block sizes must be >= 1, got ({a}, {b})")
-    A = HalfInt(a + b - 2)
-    B = HalfInt(abs(a - b))
-    zeta = PLUS if a >= b else MINUS
-    return Quadruple(A, B, zeta)
+    return Quadruple(a + b - 2, abs(a - b), PLUS if a >= b else MINUS)
 
 
-def from_quadruple(A: HalfInt, B: HalfInt, zeta: int) -> tuple[int, int]:
-    """Inverse of to_quadruple; raises on coordinates outside the image."""
+def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
+    """Inverse of to_quadruple on doubled coordinates; raises on coordinates
+    outside the image."""
     check_sign(zeta)
-    if B < 0 or A < B:
-        raise ValueError(f"need A >= B >= 0, got A={A}, B={B}")
-    if (A.doubled - B.doubled) % 2 != 0:
-        raise ValueError(f"A - B must be an integer, got A={A}, B={B}")
-    if B.doubled == 0 and zeta == MINUS:
+    halves = f"A={HalfInt(A_x2)}, B={HalfInt(B_x2)}"
+    if B_x2 < 0 or A_x2 < B_x2:
+        raise ValueError(f"need A >= B >= 0, got {halves}")
+    if (A_x2 - B_x2) % 2 != 0:
+        raise ValueError(f"A - B must be an integer, got {halves}")
+    if B_x2 == 0 and zeta == MINUS:
         raise ValueError("zeta must be + when B = 0")
-    if zeta == PLUS:
-        a = (A + B + 1).as_int()
-        b = (A - B + 1).as_int()
-    else:
-        a = (A - B + 1).as_int()
-        b = (A + B + 1).as_int()
-    return a, b
+    big, small = (A_x2 + B_x2) // 2 + 1, (A_x2 - B_x2) // 2 + 1
+    return (big, small) if zeta == PLUS else (small, big)
+
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class JordanBlock:
             raise ValueError(f"block sizes must be >= 1, got ({self.a}, {self.b})")
         if not isinstance(self.twist, Fraction):
             object.__setattr__(self, "twist", Fraction(self.twist))
-        if abs(self.twist) >= Fraction(1, 2):
+        if abs(self.twist) >= _HALF:
             raise ValueError(f"twist must satisfy |x| < 1/2, got {self.twist}")
 
     def quadruple(self) -> Quadruple:

@@ -33,8 +33,8 @@ def pole_contribution_table(block: Quadruple, target: Quadruple) -> int:
     Cases on (zeta, zeta0); blocks whose A differs from the target's A by a
     non-integer lie outside every shift progression and contribute 0.
     """
-    A, B, zeta = block.A.doubled, block.B.doubled, block.zeta
-    A0, B0, zeta0 = target.A.doubled, target.B.doubled, target.zeta
+    A, B, zeta = block.A_x2, block.B_x2, block.zeta
+    A0, B0, zeta0 = target.A_x2, target.B_x2, target.zeta
     if (A - A0) % 2 != 0:
         return 0
     if zeta == PLUS and zeta0 == PLUS:
@@ -51,18 +51,15 @@ def pole_contribution_table(block: Quadruple, target: Quadruple) -> int:
 def r_order(psi: ArthurParameter, rho: str, a0: int, s0: HalfInt) -> int:
     """Pole order (<= 0) of the normalization factor for (rho, a0) at s0.
 
-    Sums -1 per same-label block contributing a pole at s0 = (b0-1)/2; the
-    order is 0 when 2*s0 + 1 is not an integer >= 2 (no matching size b0).
-    Blocks are expected untwisted (decompose first); a twisted same-label
-    block raises.
+    Sums -1 per same-label block contributing a pole at s0 = (b0-1)/2, that
+    is at the size b0 = 2*s0 + 1 >= 2. Blocks are expected untwisted
+    (decompose first); a twisted same-label block raises.
     """
     if a0 < 1:
         raise ValueError(f"a0 must be >= 1, got {a0}")
-    if s0 <= 0:
-        raise ValueError(f"s0 must be positive, got {s0}")
-    b0 = s0.doubled + 1  # b0 = 2*s0 + 1, an integer for every half-integer s0
+    b0 = s0.doubled + 1
     if b0 < 2:
-        return 0
+        raise ValueError(f"s0 must be positive, got {s0}")
     target = to_quadruple(a0, b0)
     order = 0
     for blk in psi.blocks:

@@ -78,7 +78,7 @@ def derive_prime_block(a0: int, b0: int) -> Quadruple | None:
         return None
     quad = to_quadruple(a0, b0 - 2)
     if a0 == b0 - 2:
-        return Quadruple(quad.A, quad.B, MINUS)
+        return Quadruple(quad.A_x2, quad.B_x2, MINUS)
     return quad
 
 
@@ -265,7 +265,7 @@ def validate_order(
             if bi.rho != bj.rho or bi.twist != bj.twist:
                 continue
             qi, qj = quads[i], quads[j]
-            if qi.zeta == qj.zeta and qi.A > qj.A and qi.B > qj.B:
+            if qi.zeta == qj.zeta and qi.A_x2 > qj.A_x2 and qi.B_x2 > qj.B_x2:
                 violations.append(
                     Violation(
                         "P",
@@ -293,7 +293,7 @@ def validate_order(
                 )
 
     for i, q in relevant:
-        if q.A >= tq.A:
+        if q.A_x2 >= tq.A_x2:
             continue
         for j in contributors:
             if j != i and i > j:
@@ -314,7 +314,7 @@ def validate_order(
 
     if tq.zeta == PLUS and pivot is not None:
         for i, q in relevant:
-            if q.zeta == PLUS and q.A < tq.A and i > pivot and not (q.B > tq.B + 1):
+            if q.zeta == PLUS and q.A_x2 < tq.A_x2 and i > pivot and not (q.B_x2 > tq.B_x2 + 2):
                 violations.append(
                     Violation(
                         "Condition0",
@@ -327,44 +327,44 @@ def validate_order(
         for i, q in relevant:
             if q.zeta != tq.zeta:
                 continue
-            if q.A == tq.A and q.B > pq.B and i < pivot:
+            if q.A_x2 == tq.A_x2 and q.B_x2 > pq.B_x2 and i < pivot:
                 violations.append(
                     Violation(
                         "Limit1",
                         f"block at position {i} with A = A0 and B > B'0 must sit above the pivot",
                     )
                 )
-            if q.A == pq.A and q.B < tq.B and i > pivot:
+            if q.A_x2 == pq.A_x2 and q.B_x2 < tq.B_x2 and i > pivot:
                 violations.append(
                     Violation(
                         "Limit2",
                         f"block at position {i} with A = A'0 and B < B0 must sit below the pivot",
                     )
                 )
-            if q.B == tq.B:
-                if tq.zeta == PLUS and q.A < pq.A and i > pivot:
+            if q.B_x2 == tq.B_x2:
+                if tq.zeta == PLUS and q.A_x2 < pq.A_x2 and i > pivot:
                     violations.append(
                         Violation(
                             "Limit3",
                             f"block at position {i} with B = B0 and A < A'0 must sit below the pivot",
                         )
                     )
-                if tq.zeta == MINUS and q.A >= tq.A and i < pivot:
+                if tq.zeta == MINUS and q.A_x2 >= tq.A_x2 and i < pivot:
                     violations.append(
                         Violation(
                             "Limit3",
                             f"block at position {i} with B = B0 and A >= A0 must sit above the pivot",
                         )
                     )
-            if q.B == pq.B:
-                if tq.zeta == PLUS and q.A > tq.A and i < pivot:
+            if q.B_x2 == pq.B_x2:
+                if tq.zeta == PLUS and q.A_x2 > tq.A_x2 and i < pivot:
                     violations.append(
                         Violation(
                             "Limit4",
                             f"block at position {i} with B = B'0 and A > A0 must sit above the pivot",
                         )
                     )
-                if tq.zeta == MINUS and q.A < tq.A and i > pivot:
+                if tq.zeta == MINUS and q.A_x2 < tq.A_x2 and i > pivot:
                     violations.append(
                         Violation(
                             "Limit4",
@@ -377,7 +377,7 @@ def validate_order(
 
 def _canonical_key(block: JordanBlock) -> tuple:
     q = block.quadruple()
-    return (q.A.doubled, q.B.doubled, 0 if q.zeta == MINUS else 1, block.rho, block.twist)
+    return (q.A_x2, q.B_x2, 0 if q.zeta == MINUS else 1, block.rho, block.twist)
 
 
 def canonical_order(
@@ -405,9 +405,9 @@ def canonical_order(
     elif side == PSI_SIDE:
         pq = target.prime_quadruple()
         assert pq is not None
-        pos = sum(1 for blk in rest if blk.quadruple().A <= pq.A)
+        pos = sum(1 for blk in rest if blk.quadruple().A_x2 <= pq.A_x2)
     else:
         tq = target.quadruple()
-        pos = sum(1 for blk in rest if blk.quadruple().A < tq.A)
+        pos = sum(1 for blk in rest if blk.quadruple().A_x2 < tq.A_x2)
     rest.insert(pos, pivot_block)
     return OrderedJord(tuple(rest))

@@ -30,7 +30,7 @@ from apackets.jordan import ArthurParameter, JordanBlock
 
 def h(n: int) -> HalfInt:
     """The half-integer equal to the whole number n."""
-    return HalfInt.whole(n)
+    return HalfInt(2 * n)
 
 
 def h2(k: int) -> HalfInt:

@@ -179,7 +179,7 @@ def _chain_oracle(quads, seg):
     stop_abs = abs(seg.stop.doubled)
 
     def signed(q):
-        return q.B.doubled if q.zeta == PLUS else -q.B.doubled
+        return q.B_x2 if q.zeta == PLUS else -q.B_x2
 
     n = len(quads)
     for k in range(1, n + 1):
@@ -187,11 +187,11 @@ def _chain_oracle(quads, seg):
             if signed(quads[seq[0]]) != start_d:
                 continue
             if any(
-                quads[seq[i + 1]].B.doubled > quads[seq[i]].A.doubled + 2
+                quads[seq[i + 1]].B_x2 > quads[seq[i]].A_x2 + 2
                 for i in range(k - 1)
             ):
                 continue
-            if quads[seq[-1]].A.doubled >= stop_abs:
+            if quads[seq[-1]].A_x2 >= stop_abs:
                 return True
     return False
 
@@ -211,7 +211,7 @@ def test_criterion_5_chain_criterion_matches_exhaustive_search():
         quads = [b.quadruple() for b in blocks]
         if rng.random() < 0.5:
             q = rng.choice(quads)
-            start = q.B.doubled if q.zeta == PLUS else -q.B.doubled
+            start = q.B_x2 if q.zeta == PLUS else -q.B_x2
         else:
             start = rng.randint(-8, 8)
         stop = start + 2 * rng.randint(-4, 4)
@@ -298,7 +298,7 @@ def test_criterion_8_round_trips():
     for a in range(1, 51):
         for b in range(1, 51):
             q = to_quadruple(a, b)
-            assert from_quadruple(q.A, q.B, q.zeta) == (a, b)
+            assert from_quadruple(q.A_x2, q.B_x2, q.zeta) == (a, b)
 
     # Workspace corpus: canonical files are fixed points of parse -> serialize.
     for path in sorted(DATA.glob("*.json")):

@@ -381,6 +381,17 @@ def test_missing_key_message_ignores_hash_seed(doc, first):
     assert outputs == {(EXIT_FAIL, json.dumps({"error": first}, indent=2) + "\n")}
 
 
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [({"a/b": 1}, "/a~1b"),
+     ({"labels": [{"id": "r", "dim": 1, "self_dual": True, "x~y": 1}]}, "/labels/0/x~0y"),
+     ({"~1/": 1}, "/~01~1")],
+    ids=["slash", "tilde", "both"],
+)
+def test_unknown_key_pointer_escapes_tilde_and_slash(doc, pointer):
+    assert _pointer_of(_minimal(**doc)) == (pointer, "unknown key")
+
+
 def test_workspace_error_str_carries_pointer():
     err = WorkspaceError("/labels/0/dim", "expected an integer, got str")
     assert str(err) == "/labels/0/dim: expected an integer, got str"

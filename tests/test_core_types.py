@@ -1,6 +1,4 @@
-"""Half-integer arithmetic, signs, labels, groups, and declared facts."""
-
-from fractions import Fraction
+"""Half-integers, signs, labels, groups, and declared facts."""
 
 import pytest
 from hypothesis import given
@@ -59,34 +57,8 @@ def test_parse_sign():
 
 
 def test_halfint_basics():
-    x = h2(3)  # 3/2
-    assert not x.is_integral
-    assert str(x) == "3/2"
-    y = h(2)
-    assert y.is_integral
-    assert y.as_int() == 2
-    assert str(y) == "2"
-    with pytest.raises(ValueError):
-        x.as_int()
-
-
-def test_halfint_arithmetic_and_comparison():
-    assert h2(1) + h2(2) == h2(3)
-    assert h(1) - h2(1) == h2(1)
-    assert -h2(3) == h2(-3)
-    assert abs(h2(-5)) == h2(5)
-    assert h2(3) * 2 == h(3)
-    assert 2 * h2(3) == h(3)
-    assert h2(1) < h(1) <= h2(2)
-    assert h2(5) > 2
-    assert h2(4) == 2
-    assert h2(3) != 1
-
-
-def test_halfint_mixed_int_arithmetic():
-    assert h2(1) + 1 == h2(3)
-    assert 1 + h2(1) == h2(3)
-    assert 2 - h2(1) == h2(3)
+    assert str(h2(3)) == "3/2"
+    assert str(h(2)) == "2"
 
 
 def test_halfint_rejects_non_int_doubled():
@@ -94,11 +66,6 @@ def test_halfint_rejects_non_int_doubled():
         HalfInt(1.5)
     with pytest.raises(TypeError):
         HalfInt(True)
-
-
-def test_halfint_as_fraction():
-    assert h2(3).as_fraction() == Fraction(3, 2)
-    assert h(2).as_fraction() == Fraction(2)
 
 
 @given(st.integers(-1000, 1000))
@@ -112,15 +79,6 @@ def test_parse_halfint_forms():
     assert parse_halfint("-5/2") == h2(-5)
     assert parse_halfint("4") == h(4)
     assert parse_halfint(" -2 ") == h(-2)
-
-
-@given(st.integers(-200, 200), st.integers(-200, 200))
-def test_halfint_arithmetic_matches_fractions(a, b):
-    x, y = HalfInt(a), HalfInt(b)
-    assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-    assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-    assert (x < y) == (x.as_fraction() < y.as_fraction())
-    assert (x == y) == (x.as_fraction() == y.as_fraction())
 
 
 # --- labels, parities, groups ------------------------------------------------

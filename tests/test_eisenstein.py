@@ -19,8 +19,6 @@ from apackets.eisenstein import (
     residue_verdict,
 )
 
-from _helpers import h, h2
-
 T, F, U = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
 
 
@@ -48,7 +46,7 @@ def test_global_jord_rejects_bad_size():
 
 def test_conditions_half_integral_point():
     jord = GlobalJord((("rho", 3),))
-    cond1, cond2 = global_pole_conditions(jord, "rho", h(2), _ctx())
+    cond1, cond2 = global_pole_conditions(jord, "rho", Fraction(2), _ctx())
     assert cond1 is True  # (rho, 2*2 - 1) = (rho, 3) is present
     assert cond2 is T  # no size-4 pairs: vacuously true
 
@@ -63,9 +61,11 @@ def test_conditions_vanishing_central_value():
 
 def test_conditions_at_one_half_use_pole_declaration():
     jord = GlobalJord((("rho", 3),))
-    cond1, cond2 = global_pole_conditions(jord, "rho", h2(1), _ctx(rg_pole_at_1=["rho"]))
+    cond1, cond2 = global_pole_conditions(
+        jord, "rho", Fraction(1, 2), _ctx(rg_pole_at_1=["rho"])
+    )
     assert (cond1, cond2) == (True, T)  # no size-1 pairs
-    cond1, _ = global_pole_conditions(jord, "rho", h2(1), _ctx())
+    cond1, _ = global_pole_conditions(jord, "rho", Fraction(1, 2), _ctx())
     assert cond1 is False
 
 
@@ -79,19 +79,19 @@ def test_conditions_below_one_half_raise():
     with pytest.raises(ValueError):
         global_pole_conditions(jord, "rho", Fraction(1, 4), _ctx())
     with pytest.raises(ValueError):
-        global_pole_conditions(jord, "rho", h(0), _ctx())
+        global_pole_conditions(jord, "rho", Fraction(0), _ctx())
 
 
 def test_conditions_undeclared_label_raises():
     jord = GlobalJord((("rho", 3),))
     with pytest.raises(ValueError):
-        global_pole_conditions(jord, "zz", h(1), _ctx())
+        global_pole_conditions(jord, "zz", Fraction(1), _ctx())
 
 
 def test_conditions_unknown_central_value_propagates():
     # rho2 appears with size 2*s0 but no declaration covers (rho, rho2).
     jord = GlobalJord((("rho", 1), ("rho2", 2)))
-    cond1, cond2 = global_pole_conditions(jord, "rho", h(1), _ctx())
+    cond1, cond2 = global_pole_conditions(jord, "rho", Fraction(1), _ctx())
     assert cond1 is True  # (rho, 1) present
     assert cond2 is U
 
@@ -99,7 +99,7 @@ def test_conditions_unknown_central_value_propagates():
 def test_conditions_mixed_central_values_follow_kleene():
     jord = GlobalJord((("rho", 1), ("rho2", 2), ("rho3", 2)))
     ctx = _ctx(vanishing=[("rho", "rho2")])
-    _, cond2 = global_pole_conditions(jord, "rho", h(1), ctx)
+    _, cond2 = global_pole_conditions(jord, "rho", Fraction(1), ctx)
     assert cond2 is F  # False beats the unknown (rho, rho3) pair
 
 
@@ -108,7 +108,7 @@ def test_conditions_mixed_central_values_follow_kleene():
 
 def test_verdict_pole_when_both_hold():
     jord = GlobalJord((("rho", 3),))
-    v = eisenstein_verdict(jord, "rho", h(2), _ctx())
+    v = eisenstein_verdict(jord, "rho", Fraction(2), _ctx())
     assert v.kind is VerdictKind.POLE_ORDER_AT_MOST_ONE
     assert (v.cond1, v.cond2) == (True, T)
 
@@ -123,7 +123,7 @@ def test_verdict_holomorphic_on_failed_condition():
 
 def test_verdict_unknown_condition_stays_visible():
     jord = GlobalJord((("rho", 1), ("rho2", 2)))
-    v = eisenstein_verdict(jord, "rho", h(1), _ctx())
+    v = eisenstein_verdict(jord, "rho", Fraction(1), _ctx())
     assert v.kind is VerdictKind.HOLOMORPHIC
     assert (v.cond1, v.cond2) == (True, U)
 
@@ -131,7 +131,7 @@ def test_verdict_unknown_condition_stays_visible():
 def test_verdict_cond1_false_cond2_true():
     jord = GlobalJord((("rho2", 4),))
     ctx = _ctx(nonvanishing=[("rho", "rho2")])
-    v = eisenstein_verdict(jord, "rho", h(2), ctx)
+    v = eisenstein_verdict(jord, "rho", Fraction(2), ctx)
     assert v.kind is VerdictKind.HOLOMORPHIC
     assert (v.cond1, v.cond2) == (False, T)
 
@@ -176,13 +176,13 @@ def test_declaring_more_facts_never_weakens_cond2():
     """Strengthening the context can only move cond2 out of Unknown."""
     jord = GlobalJord((("rho", 1), ("rho2", 2), ("rho3", 2)))
     base = _ctx()
-    _, before = global_pole_conditions(jord, "rho", h(1), base)
+    _, before = global_pole_conditions(jord, "rho", Fraction(1), base)
     assert before is U
     for extra, expect in [
         ({"nonvanishing": [("rho", "rho2"), ("rho", "rho3")]}, T),
         ({"vanishing": [("rho", "rho2")]}, F),
     ]:
-        _, after = global_pole_conditions(jord, "rho", h(1), _ctx(**extra))
+        _, after = global_pole_conditions(jord, "rho", Fraction(1), _ctx(**extra))
         assert after is expect
 
 

@@ -1,6 +1,7 @@
 """Tests for exponent words modulo commutation, the chain condition, and the
 irreducibility criteria."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -38,11 +39,12 @@ def test_segment_mixed_class_raises():
 
 
 def test_jac_commutes():
-    assert jac_commutes(h(3), h(1)) is True
-    assert jac_commutes(h(2), h(1)) is False
-    assert jac_commutes(h2(5), h2(1)) is True
-    assert jac_commutes(h(1), h(1)) is False
-    assert jac_commutes(h(0), h2(1)) is False  # gap 1/2
+    # Doubled exponents: 3 and 1 commute, 2 and 1 do not.
+    assert jac_commutes(6, 2) is True
+    assert jac_commutes(4, 2) is False
+    assert jac_commutes(5, 1) is True
+    assert jac_commutes(2, 2) is False
+    assert jac_commutes(0, 1) is False  # gap 1/2
 
 
 def test_jac_normal_form_examples():
@@ -138,6 +140,17 @@ def test_irreducible_cuspidal_twist_examples():
 def test_irreducible_cuspidal_twist_vacuous():
     psi = sp_param([blk("rs", 3, 3)])
     assert irreducible_cuspidal_twist(psi, "r", h2(1)) is IrredVerdict.IRREDUCIBLE
+
+
+def test_irreducible_cuspidal_twist_matches_fraction_oracle():
+    # A and B in exact halves straight from the block sizes, so a threshold
+    # carried over into doubled units with the wrong constant shows up.
+    xs = [Fraction(k, 2) for k in range(-10, 11) if k != 0]
+    for a, b, x in itertools.product(range(1, 9), range(1, 9), xs):
+        A, B = Fraction(a + b, 2) - 1, Fraction(abs(a - b), 2)
+        want = A < abs(x) - 1 or B > abs(x)
+        got = irreducible_cuspidal_twist(sp_param([blk("r", a, b)]), "r", h2(int(2 * x)))
+        assert (got is IrredVerdict.IRREDUCIBLE) == want, (a, b, x)
 
 
 def test_irreducible_cuspidal_twist_zero_raises():

@@ -20,8 +20,6 @@ from apackets.jordan import (
 )
 from _helpers import (
     blk,
-    h,
-    h2,
     so_odd,
     soodd_param,
     sp,
@@ -35,15 +33,16 @@ LABELS = standard_labels()
 
 
 def test_to_quadruple_examples():
-    assert to_quadruple(3, 1) == Quadruple(h(1), h(1), PLUS)
-    assert to_quadruple(1, 3) == Quadruple(h(1), h(1), MINUS)
-    assert to_quadruple(2, 2) == Quadruple(h(1), h(0), PLUS)
+    assert to_quadruple(3, 1) == Quadruple(2, 2, PLUS)
+    assert to_quadruple(1, 3) == Quadruple(2, 2, MINUS)
+    assert to_quadruple(2, 2) == Quadruple(2, 0, PLUS)
+    assert to_quadruple(3, 4) == Quadruple(5, 1, MINUS)  # A = 5/2, B = 1/2
 
 
 def test_from_quadruple_examples():
-    assert from_quadruple(h(1), h(1), PLUS) == (3, 1)
-    assert from_quadruple(h(1), h(0), PLUS) == (2, 2)
-    assert from_quadruple(h2(5), h2(1), MINUS) == (3, 4)
+    assert from_quadruple(2, 2, PLUS) == (3, 1)
+    assert from_quadruple(2, 0, PLUS) == (2, 2)
+    assert from_quadruple(5, 1, MINUS) == (3, 4)
 
 
 def test_to_quadruple_rejects_bad_sizes():
@@ -54,30 +53,31 @@ def test_to_quadruple_rejects_bad_sizes():
 
 
 def test_from_quadruple_rejects_bad_coordinates():
+    # Coordinates are doubled; the messages print them as halves.
+    with pytest.raises(ValueError, match="got A=1, B=2$"):
+        from_quadruple(2, 4, PLUS)  # A < B
+    with pytest.raises(ValueError, match="got A=1, B=-1/2$"):
+        from_quadruple(2, -1, PLUS)  # B < 0
+    with pytest.raises(ValueError, match="got A=3/2, B=1$"):
+        from_quadruple(3, 2, PLUS)  # A - B not an integer
     with pytest.raises(ValueError):
-        from_quadruple(h(1), h(2), PLUS)  # A < B
+        from_quadruple(2, 0, MINUS)  # zeta must be + at B = 0
     with pytest.raises(ValueError):
-        from_quadruple(h(1), h2(-1), PLUS)  # B < 0
-    with pytest.raises(ValueError):
-        from_quadruple(h2(3), h(1), PLUS)  # A - B not an integer
-    with pytest.raises(ValueError):
-        from_quadruple(h(1), h(0), MINUS)  # zeta must be + at B = 0
-    with pytest.raises(ValueError):
-        from_quadruple(h(1), h(1), 0)  # not a sign
+        from_quadruple(2, 2, 0)  # not a sign
 
 
 @given(st.integers(1, 50), st.integers(1, 50))
 def test_quadruple_roundtrip(a, b):
     q = to_quadruple(a, b)
-    assert from_quadruple(q.A, q.B, q.zeta) == (a, b)
+    assert from_quadruple(q.A_x2, q.B_x2, q.zeta) == (a, b)
 
 
 @given(st.integers(1, 50), st.integers(1, 50))
 def test_quadruple_shape_invariants(a, b):
     q = to_quadruple(a, b)
-    assert q.B >= 0
-    assert q.A >= q.B
-    assert (q.A + q.B).doubled == 2 * (max(a, b) - 1)
+    assert q.B_x2 >= 0
+    assert q.A_x2 >= q.B_x2
+    assert q.A_x2 + q.B_x2 == 2 * (max(a, b) - 1)
     assert q.zeta * (a - b) >= 0
     if a == b:
         assert q.zeta == PLUS

@@ -25,7 +25,7 @@ from apackets.packets import (
     validate_order,
     validate_params,
 )
-from _helpers import blk, h, h2
+from _helpers import blk
 
 # --- the range condition and block signs -------------------------------------
 
@@ -197,14 +197,14 @@ def test_target_triple_exceptional_flag():
 def test_derive_prime_block_examples():
     assert derive_prime_block(4, 2) is None
     q = derive_prime_block(3, 4)
-    assert (q.A, q.B, q.zeta) == (h2(3), h2(1), PLUS)
+    assert (q.A_x2, q.B_x2, q.zeta) == (3, 1, PLUS)
     assert derive_prime_block(5, 3) == to_quadruple(5, 1)
 
 
 def test_derive_prime_block_zeta_override():
     # a0 = b0 - 2: the shrunken block is square but keeps zeta = -.
     q = derive_prime_block(2, 4)
-    assert (q.A, q.B, q.zeta) == (h(1), h(0), MINUS)
+    assert (q.A_x2, q.B_x2, q.zeta) == (2, 0, MINUS)
 
 
 def test_prime_block_coordinates_grid():
@@ -212,16 +212,16 @@ def test_prime_block_coordinates_grid():
         for b0 in range(3, 13):
             t = TargetTriple("r", a0, b0)
             tq, pq = t.quadruple(), t.prime_quadruple()
-            assert pq.A == tq.A - 1
+            assert pq.A_x2 == tq.A_x2 - 2
             if a0 == b0 - 1:
-                assert tq.B == h2(1) and pq.B == h2(1)
+                assert tq.B_x2 == 1 and pq.B_x2 == 1
                 assert (tq.zeta, pq.zeta) == (MINUS, PLUS)
             elif a0 == b0 - 2:
                 assert pq.zeta == MINUS
-                assert pq.B == tq.B - 1
+                assert pq.B_x2 == tq.B_x2 - 2
             else:
                 assert pq.zeta == tq.zeta
-                assert pq.B == tq.B + tq.zeta  # B0 +- 1
+                assert pq.B_x2 == tq.B_x2 + 2 * tq.zeta  # B0 +- 1
 
 
 # --- pivot location -----------------------------------------------------------------
