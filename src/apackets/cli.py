@@ -39,12 +39,13 @@ from .packets import (
     PacketParams,
     TargetTriple,
     canonical_order,
+    count_params,
     enumerate_params,
     locate_pivot,
     validate_order,
     validate_params,
 )
-from .transfer import apply_transfer, build_psi_plus
+from .transfer import apply_transfer, build_psi_plus, check_target_parity
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -437,6 +438,27 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def _option_value(parse, expected: str):
+    """An argparse ``type``: ``parse(text)``, with a malformed value reported
+    as a usage error that names the option (argparse adds it) and the value."""
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return convert
+
+
+_halfint = _option_value(parse_halfint, "a half-integer such as 3 or -3/2")
+_rational = _option_value(Fraction, "an exact rational such as 3/2")
+
+
+def _halfints(text: str) -> tuple:
+    return tuple(_halfint(tok) for tok in text.split(",") if tok.strip())
+
+
 def _load_workspace(args: argparse.Namespace) -> Workspace:
     path = getattr(args, "workspace", None)
     if path is None:
@@ -482,13 +504,14 @@ def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     epsilon = parse_sign(args.epsilon) if args.epsilon else ws.group.epsilon
-    found = enumerate_params(entry.ordered(), epsilon)
     if args.count:
-        return EXIT_OK, {"count": len(found), "epsilon": sign_str(epsilon)}
+        count = count_params(entry.ordered(), epsilon)
+        return EXIT_OK, {"count": count, "epsilon": sign_str(epsilon)}
     return EXIT_OK, {
         "epsilon": sign_str(epsilon),
         "params": [
-            {"t": list(p.t), "eta": [sign_str(e) for e in p.eta]} for p in found
+            {"t": list(p.t), "eta": [sign_str(e) for e in p.eta]}
+            for p in enumerate_params(entry.ordered(), epsilon)
         ],
     }
 
@@ -497,6 +520,7 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
+    check_target_parity(target, ws.group, ws.labels)
     side = PSI_PLUS_SIDE if args.side == "psi_plus" else PSI_SIDE
     if args.validate:
         violations = validate_order(entry.ordered(), target, side)
@@ -520,8 +544,7 @@ def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    s0 = parse_halfint(args.s0)
-    return EXIT_OK, {"order": r_order(entry.parameter, rho, args.a0, s0)}
+    return EXIT_OK, {"order": r_order(entry.parameter, rho, args.a0, args.s0)}
 
 
 def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
@@ -558,17 +581,14 @@ def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
     if args.normal_form:
         if args.exponents is None:
             raise UsageError("--normal-form requires --exponents")
-        exps = tuple(
-            parse_halfint(tok) for tok in args.exponents.split(",") if tok.strip()
-        )
-        nf = jac_normal_form(JacSequence(args.rho or "", exps))
+        nf = jac_normal_form(JacSequence(args.rho or "", args.exponents))
         return EXIT_OK, {"exponents_x2": [e.doubled for e in nf.exponents]}
     if None in (args.param, args.rho, args.seg_from, args.seg_to):
         raise UsageError("--nonvanishing requires --param, --rho, --from, and --to")
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    seg = Segment(parse_halfint(args.seg_from), parse_halfint(args.seg_to))
+    seg = Segment(args.seg_from, args.seg_to)
     return EXIT_OK, {
         "nonvanishing_possible": jac_nonvanishing_necessary(entry.parameter, rho, seg)
     }
@@ -578,7 +598,7 @@ def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    verdict = irreducible_cuspidal_twist(entry.parameter, rho, parse_halfint(args.x))
+    verdict = irreducible_cuspidal_twist(entry.parameter, rho, args.x)
     return EXIT_OK, {"verdict": verdict.value}
 
 
@@ -588,7 +608,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
     if args.a_tau is not None:
         if args.s0 is None:
             raise UsageError("--a-tau requires --s0")
-        entries = combined_inf_char(blocks, args.a_tau, parse_halfint(args.s0))
+        entries = combined_inf_char(blocks, args.a_tau, args.s0)
     else:
         entries = inf_char(blocks)
     payload: dict[str, Any] = {"entries_x2": [e.doubled for e in entries]}
@@ -600,8 +620,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_arch_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     blocks = _lookup(ws.arch, args.arch, "unknown arch input")
-    s0 = parse_halfint(args.s0)
-    return EXIT_OK, {"order": normalization_order(tuple(args.a_tau), blocks, s0)}
+    return EXIT_OK, {"order": normalization_order(tuple(args.a_tau), blocks, args.s0)}
 
 
 _TRIBOOL_FLAGS = {"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}
@@ -611,8 +630,7 @@ def _cmd_eisenstein(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     jord = _lookup(ws.global_jords, args.global_name, "unknown global datum")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    s0 = Fraction(args.s0)
-    verdict = eisenstein_verdict(jord, rho, s0, ws.lcontext)
+    verdict = eisenstein_verdict(jord, rho, args.s0, ws.lcontext)
     payload: dict[str, Any] = {
         "kind": verdict.kind.value,
         "cond1": verdict.cond1,
@@ -671,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--param", required=True)
     sub.add_argument("--rho", required=True)
     sub.add_argument("--a0", type=int, required=True)
-    sub.add_argument("--s0", required=True, help="half-integer, e.g. '2' or '3/2'")
+    sub.add_argument("--s0", type=_halfint, required=True, help="e.g. '2' or '3/2'")
 
     sub = subs.add_parser("transfer", help="enlarge one block and transport everything")
     _add_workspace_arg(sub)
@@ -692,35 +710,37 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--normal-form", action="store_true")
     mode.add_argument("--nonvanishing", action="store_true")
     sub.add_argument("--rho")
-    sub.add_argument("--exponents", help="comma-separated half-integers")
+    sub.add_argument("--exponents", type=_halfints, help="comma-separated half-integers")
     sub.add_argument("--param")
-    sub.add_argument("--from", dest="seg_from", help="segment start (half-integer)")
-    sub.add_argument("--to", dest="seg_to", help="segment stop (half-integer)")
+    sub.add_argument("--from", dest="seg_from", type=_halfint, help="segment start")
+    sub.add_argument("--to", dest="seg_to", type=_halfint, help="segment stop")
 
     sub = subs.add_parser("irreducible", help="sufficient irreducibility criterion")
     _add_workspace_arg(sub)
     sub.add_argument("--param", required=True)
     sub.add_argument("--rho", required=True)
-    sub.add_argument("--x", required=True, help="nonzero half-integer twist")
+    sub.add_argument("--x", type=_halfint, required=True, help="nonzero half-integer twist")
 
     sub = subs.add_parser("infchar", help="infinitesimal-character entries")
     _add_workspace_arg(sub)
     sub.add_argument("--arch", required=True)
     sub.add_argument("--a-tau", type=int, default=None)
-    sub.add_argument("--s0", help="half-integer twist point")
+    sub.add_argument("--s0", type=_halfint, help="half-integer twist point")
     sub.add_argument("--check-regular", action="store_true")
 
     sub = subs.add_parser("arch-order", help="total Gamma-factor pole order")
     _add_workspace_arg(sub)
     sub.add_argument("--arch", required=True)
     sub.add_argument("--a-tau", type=int, action="append", required=True)
-    sub.add_argument("--s0", required=True)
+    sub.add_argument("--s0", type=_halfint, required=True)
 
     sub = subs.add_parser("eisenstein", help="pole and residue verdicts")
     _add_workspace_arg(sub)
     sub.add_argument("--global", dest="global_name", required=True)
     sub.add_argument("--rho", required=True)
-    sub.add_argument("--s0", required=True, help="exact rational >= 1/2, e.g. '3/2'")
+    sub.add_argument(
+        "--s0", type=_rational, required=True, help="exact rational >= 1/2, e.g. '3/2'"
+    )
     sub.add_argument(
         "--local",
         action="append",

@@ -195,26 +195,58 @@ def validate_params(
     return violations
 
 
+def _signed_pairs(blk: JordanBlock) -> tuple[tuple[int, int, int], ...]:
+    """The block's admissible (t, eta), each with its block sign."""
+    return tuple(
+        (t, eta, _raw_sign(blk.a, blk.b, t, eta)) for t, eta in admissible_pairs(blk.a, blk.b)
+    )
+
+
+def count_params(ordered: OrderedJord | Sequence[JordanBlock], epsilon: int) -> int:
+    """How many packet parameters pass both conditions, without listing them.
+
+    A two-state sign DP: (plus, minus) counts the choices on the blocks seen
+    so far whose sign product is + or -. O(sum of min(a, b)) exact int work.
+    """
+    blocks = _blocks_of(ordered)
+    check_sign(epsilon)
+    plus, minus = 1, 0
+    for blk in blocks:
+        signs = [s for _, _, s in _signed_pairs(blk)]
+        b_plus, b_minus = signs.count(PLUS), signs.count(MINUS)
+        plus, minus = plus * b_plus + minus * b_minus, plus * b_minus + minus * b_plus
+    return plus if epsilon == PLUS else minus
+
+
 def enumerate_params(
     ordered: OrderedJord | Sequence[JordanBlock], epsilon: int
 ) -> tuple[PacketParams, ...]:
     """All packet parameters passing both conditions, in lexicographic order
-    of the per-block (t, eta) choices."""
+    of the per-block (t, eta) choices.
+
+    Only members are built: each choice on all blocks but the last is
+    completed by exactly those (t, eta) of the last block whose sign makes
+    the product epsilon.
+    """
     blocks = _blocks_of(ordered)
     check_sign(epsilon)
-    options = [admissible_pairs(blk.a, blk.b) for blk in blocks]
+    if not blocks:
+        return (PacketParams((), ()),) if epsilon == PLUS else ()
+    *head, last = [_signed_pairs(blk) for blk in blocks]
+    # completing[s]: the last block's choices that make the product epsilon
+    # after a head whose sign product is s.
+    completing = {
+        s: [(t, eta) for t, eta, sign in last if sign * s == epsilon] for s in (PLUS, MINUS)
+    }
     found: list[PacketParams] = []
-    for choice in itertools.product(*options):
+    for choice in itertools.product(*head):
         product = PLUS
-        for blk, (t, eta) in zip(blocks, choice):
-            product *= _raw_sign(blk.a, blk.b, t, eta)
-        if product == epsilon:
-            found.append(
-                PacketParams(
-                    t=tuple(t for t, _ in choice),
-                    eta=tuple(eta for _, eta in choice),
-                )
-            )
+        for _, _, sign in choice:
+            product *= sign
+        ts = tuple(t for t, _, _ in choice)
+        etas = tuple(eta for _, eta, _ in choice)
+        for t, eta in completing[product]:
+            found.append(PacketParams(ts + (t,), etas + (eta,)))
     return tuple(found)
 
 

@@ -22,12 +22,22 @@ from .packets import (
 __all__ = [
     "TargetTriple",
     "derive_prime_block",
+    "check_target_parity",
     "build_psi_plus",
     "transfer_params",
     "check_sign_identity",
     "induced_order",
     "apply_transfer",
 ]
+
+
+def check_target_parity(
+    target: TargetTriple, group: GroupType, labels: Mapping[str, CuspidalLabel]
+) -> None:
+    """Raise unless the enlarged block (rho, a0, b0) is of good parity for
+    ``group``: only such a block can be enlarged or ordered against."""
+    if not good_parity(target.plus_block(), group, labels):
+        raise ValueError(f"target block {target.plus_block()} is not of good parity")
 
 
 def build_psi_plus(
@@ -41,10 +51,7 @@ def build_psi_plus(
     standard dimension grows by 2 * a0 * dim(rho); the dimension identity is
     re-checked against the enlarged group.
     """
-    if target.rho not in labels:
-        raise ValueError(f"unknown label: {target.rho!r}")
-    if not good_parity(target.plus_block(), psi.group, labels):
-        raise ValueError(f"target block {target.plus_block()} is not of good parity")
+    check_target_parity(target, psi.group, labels)
     if psi.standard_dim(labels) != psi.group.rank_dim:
         raise ValueError(
             f"input parameter dimension {psi.standard_dim(labels)} does not match "

@@ -17,6 +17,7 @@ Good-parity bookkeeping for the dim-1 orthogonal label ``r``:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from apackets.core_types import (
     CuspidalLabel,
@@ -97,3 +98,25 @@ def soodd_param(blocks, labels=None, epsilon: int = 1) -> ArthurParameter:
 
 def sp_param(blocks, labels=None, epsilon: int = 1) -> ArthurParameter:
     return auto_param(GroupKind.SP, blocks, labels, epsilon)
+
+
+def sign_excess(a: int, b: int) -> int:
+    """Sum of the block signs eta^m * (-1)^(m//2 + t), m = min(a, b), over the
+    range rule 0 <= t <= m//2 (eta = + when 2t = m), written out directly."""
+    m = min(a, b)
+    return sum(
+        (eta ** m) * (-1) ** (m // 2 + t)
+        for t in range(m // 2 + 1)
+        for eta in (1, -1)
+        if not (2 * t == m and eta == -1)
+    )
+
+
+def closed_form_count(sizes, epsilon: int) -> int:
+    """Packet size for sign ``epsilon`` over blocks of the given (a, b):
+    (prod(m + 1) + epsilon * prod(excess)) / 2, since the two signs' counts
+    sum to the number of choices and differ by the product of the excesses."""
+    total = prod(min(a, b) + 1 for a, b in sizes)
+    diff = prod(sign_excess(a, b) for a, b in sizes)
+    assert (total + epsilon * diff) % 2 == 0
+    return (total + epsilon * diff) // 2

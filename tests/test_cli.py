@@ -22,6 +22,7 @@ from apackets.cli import (
     run,
     serialize_workspace,
 )
+from _helpers import closed_form_count
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -506,6 +507,20 @@ def test_packet_list(capsys):
     ]
 
 
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
+    # About 2.5 * 10^22 choices: the count must come from the sign DP, not a search.
+    sizes = [(1 + k % 7, 1 + (3 * k) % 8) for k in range(40)]
+    ws = tmp_path / "ws.json"
+    ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
+    sign = "+" if epsilon > 0 else "-"
+    code, payload = _run_json(
+        capsys, "packet", "-w", str(ws), "--param", "P", "--count", "--epsilon", sign
+    )
+    assert code == EXIT_OK
+    assert payload == {"count": closed_form_count(sizes, epsilon), "epsilon": sign}
+
+
 def test_order_validate(capsys):
     code, payload = _run_json(
         capsys,
@@ -528,6 +543,22 @@ def test_order_validate_failure(capsys, tmp_path):
     )
     assert code == EXIT_FAIL
     assert any(v["code"] == "P" for v in payload["violations"])
+
+
+@pytest.mark.parametrize("mode", ["--validate", "--canonical"])
+@pytest.mark.parametrize(
+    "rho, a0, b0, block",
+    [("u", 1, 2, "(u,1,2)"), ("r", 4, 2, "(r,4,2)")],
+    ids=["not-self-dual", "bad-parity"],
+)
+def test_order_rejects_target_not_of_good_parity(capsys, mode, rho, a0, b0, block):
+    code, payload = _run_json(
+        capsys,
+        "order", "-w", str(DEMO), "--param", "P",
+        "--rho", rho, "--a0", str(a0), "--b0", str(b0), mode,
+    )
+    assert code == EXIT_FAIL
+    assert payload == {"error": f"target block {block} is not of good parity"}
 
 
 def test_order_canonical(capsys):
@@ -563,8 +594,12 @@ def _repeated_pivot_orders(draw):
 def test_order_canonical_indices_with_repeated_blocks(case):
     a0, b0, side, sizes = case
     jord = [{"rho": "r", "a": a, "b": b, "twist_num": 0, "twist_den": 1} for a, b in sizes]
+    # order takes only good-parity targets: (r, a0, b0) is of good parity
+    # for SOodd when a0 + b0 is odd, and for Sp when it is even.
+    doc = json.loads(_param_doc(jord))
+    doc["group"]["kind"] = "SOodd" if (a0 + b0) % 2 else "Sp"
     out = io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(_param_doc(jord))), \
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
             contextlib.redirect_stdout(out):
         code = run([
             "order", "-w", "-", "--param", "P", "--rho", "r", "--a0", str(a0),
@@ -726,6 +761,30 @@ def test_negative_option_values(capsys, prefix, option, value):
     assert joined[0] == EXIT_OK
     assert spaced == joined
     assert _run(capsys, *prefix, option)[0] == EXIT_USAGE  # value really missing
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("irreducible", "-w", str(SP), "--param", "J", "--rho", "r"), "--x", "3/4"),
+        (("pole-order", "-w", str(DEMO), "--param", "P", "--rho", "r", "--a0", "4"),
+         "--s0", "1.5"),
+        (("jac", "--normal-form", "--rho", "r"), "--exponents", "1,x,2"),
+        (("jac", "--nonvanishing", "-w", str(SP), "--param", "J", "--rho", "r", "--to", "4"),
+         "--from", "1/3"),
+        (("infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1"), "--s0", "half"),
+        (("arch-order", "-w", str(DEMO), "--arch", "AR", "--a-tau", "2"), "--s0", "5/4"),
+        (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1/0"),
+    ],
+    ids=["irreducible-x", "pole-order-s0", "jac-exponents", "jac-from", "infchar-s0",
+         "arch-order-s0", "eisenstein-s0"],
+)
+def test_malformed_number_option_is_a_usage_error(capsys, argv, option, value):
+    code, out, err = _run(capsys, *argv, f"{option}={value}")
+    assert (code, out) == (EXIT_USAGE, "")
+    bad = "x" if option == "--exponents" else value  # the token that fails
+    assert f"argument {option}: " in err
+    assert repr(bad) in err
 
 
 def test_workspace_from_stdin(capsys, monkeypatch):

@@ -19,13 +19,14 @@ from apackets.packets import (
     block_sign,
     canonical_order,
     check_constraint1,
+    count_params,
     derive_prime_block,
     enumerate_params,
     locate_pivot,
     validate_order,
     validate_params,
 )
-from _helpers import blk
+from _helpers import blk, closed_form_count
 
 # --- the range condition and block signs -------------------------------------
 
@@ -176,6 +177,53 @@ def test_count_partition(sizes):
     for a, b in sizes:
         total *= len(admissible_pairs(a, b))
     assert len(enumerate_params(blocks, PLUS)) + len(enumerate_params(blocks, MINUS)) == total
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=4),
+    st.sampled_from([PLUS, MINUS]),
+)
+def test_enumeration_order_matches_brute_force(sizes, epsilon):
+    blocks = [blk("r", a, b) for a, b in sizes]
+    got = [tuple(zip(p.t, p.eta)) for p in enumerate_params(blocks, epsilon)]
+    assert got == _brute_force(blocks, epsilon)
+
+
+def test_enumerate_empty_block_list():
+    assert enumerate_params([], PLUS) == (PacketParams((), ()),)
+    assert enumerate_params([], MINUS) == ()
+    assert _brute_force([], PLUS) == [()] and _brute_force([], MINUS) == []
+
+
+# --- counting without enumeration ---------------------------------------------------
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=40),
+    st.sampled_from([PLUS, MINUS]),
+)
+def test_count_matches_closed_form(sizes, epsilon):
+    blocks = [blk("r", a, b) for a, b in sizes]
+    assert count_params(blocks, epsilon) == closed_form_count(sizes, epsilon)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=5),
+    st.sampled_from([PLUS, MINUS]),
+)
+def test_count_matches_enumeration(sizes, epsilon):
+    blocks = [blk("r", a, b) for a, b in sizes]
+    count = count_params(OrderedJord(tuple(blocks)), epsilon)
+    assert count == len(enumerate_params(blocks, epsilon))
+    assert count == closed_form_count(sizes, epsilon)
+
+
+def test_count_params_rejects_bad_sign():
+    with pytest.raises(ValueError):
+        count_params([blk("r", 1, 1)], 0)
 
 
 # --- target triples and the shrunken block ---------------------------------------
