@@ -70,9 +70,9 @@ def main() -> None:
     print(f"blocks: {fmt_blocks(psi.blocks)}")
     print(f"target: {target}")
 
-    ordered = canonical_order(psi, target, PSI_SIDE)
+    ordered = canonical_order(psi.blocks, target, PSI_SIDE)
     violations = validate_order(ordered, target, PSI_SIDE)
-    print(f"\ncanonical order: {fmt_blocks(ordered.blocks)}")
+    print(f"\ncanonical order: {fmt_blocks(ordered)}")
     print(f"order violations: {[v.code for v in violations] or 'none'}")
 
     s0 = HalfInt(b0 - 1)  # (b0 - 1) / 2
@@ -93,16 +93,16 @@ def main() -> None:
     if prime is None:
         # Fresh block goes where the canonical order would place it.
         A0 = target.quadruple().A_x2
-        insert = sum(1 for blk in ordered.blocks if blk.quadruple().A_x2 < A0)
+        insert = sum(1 for blk in ordered if blk.quadruple().A_x2 < A0)
     new_order, new_params = apply_transfer(ordered, params, target, insert_position=insert)
-    print(f"\ntransported order: {fmt_blocks(new_order.blocks)}")
+    print(f"\ntransported order: {fmt_blocks(new_order)}")
     print(f"transported coordinates: t = {list(new_params.t)}, "
           f"eta = {[sign_str(e) for e in new_params.eta]}")
     print(f"order violations on the enlarged side: "
           f"{[v.code for v in validate_order(new_order, target, PSI_PLUS_SIDE)] or 'none'}")
 
     if prime is not None:
-        pivot_idx = locate_pivot(ordered.blocks, target, PSI_SIDE)
+        pivot_idx = locate_pivot(ordered, target, PSI_SIDE)
         t0, eta0 = params.t[pivot_idx], params.eta[pivot_idx]
         print(f"\nsign identity for the pivot (t0={t0}, eta0={sign_str(eta0)}): "
               f"{check_sign_identity(a0, b0, t0, eta0)}")

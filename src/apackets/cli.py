@@ -33,7 +33,6 @@ from .jacquet import JacSequence, Segment, jac_nonvanishing_necessary, jac_norma
 from .jordan import ArthurParameter, JordanBlock, validate_parameter
 from .lfactors import r_order
 from .packets import (
-    OrderedJord,
     PSI_PLUS_SIDE,
     PSI_SIDE,
     PacketParams,
@@ -227,10 +226,11 @@ class ParamEntry:
     order: tuple[int, ...] | None = None
     params: PacketParams | None = None
 
-    def ordered(self) -> OrderedJord:
+    def ordered(self) -> tuple[JordanBlock, ...]:
         blocks = self.parameter.blocks
-        order = self.order if self.order is not None else tuple(range(len(blocks)))
-        return OrderedJord(tuple(blocks[k] for k in order))
+        if self.order is None:
+            return blocks
+        return tuple(blocks[k] for k in self.order)
 
 
 @dataclass
@@ -533,10 +533,10 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     for k, blk in enumerate(entry.parameter.blocks):
         positions.setdefault(blk, []).append(k)
     unused = {blk: iter(ks) for blk, ks in positions.items()}
-    indices = [next(unused[blk]) for blk in co.blocks]
+    indices = [next(unused[blk]) for blk in co]
     return EXIT_OK, {
         "indices": indices,
-        "blocks": [_block_doc(blk) for blk in co.blocks],
+        "blocks": [_block_doc(blk) for blk in co],
     }
 
 
@@ -548,6 +548,10 @@ def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.b0 == 2 and args.insert_position is None:
+        raise UsageError("--b0 2 requires --insert-position")
+    if args.b0 != 2 and args.insert_position is not None:
+        raise UsageError("--insert-position applies only when --b0 is 2")
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
@@ -560,13 +564,13 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     if target.b0 == 2:
         pivot_pos = args.insert_position
     else:
-        pivot_pos = locate_pivot(new_order.blocks, target, PSI_PLUS_SIDE)
+        pivot_pos = locate_pivot(new_order, target, PSI_PLUS_SIDE)
     return EXIT_OK, {
         "psi_plus": {
             "m_star": psi_plus.group.rank_dim,
             "jord": [_block_doc(blk) for blk in psi_plus.blocks],
         },
-        "order": [_block_doc(blk) for blk in new_order.blocks],
+        "order": [_block_doc(blk) for blk in new_order],
         "t": list(new_params.t),
         "eta": [sign_str(e) for e in new_params.eta],
         "pivot": {
@@ -603,11 +607,13 @@ def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.a_tau is not None and args.s0 is None:
+        raise UsageError("--a-tau requires --s0")
+    if args.a_tau is None and args.s0 is not None:
+        raise UsageError("--s0 requires --a-tau")
     ws = _load_workspace(args)
     blocks = _lookup(ws.arch, args.arch, "unknown arch input")
     if args.a_tau is not None:
-        if args.s0 is None:
-            raise UsageError("--a-tau requires --s0")
         entries = combined_inf_char(blocks, args.a_tau, args.s0)
     else:
         entries = inf_char(blocks)
@@ -701,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--insert-position",
         type=int,
         default=None,
-        help="where the fresh block goes when b0 = 2",
+        help="where the fresh block goes; required when b0 = 2, rejected otherwise",
     )
 
     sub = subs.add_parser("jac", help="Jacquet words and their nonvanishing")
@@ -725,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workspace_arg(sub)
     sub.add_argument("--arch", required=True)
     sub.add_argument("--a-tau", type=int, default=None)
-    sub.add_argument("--s0", type=_halfint, help="half-integer twist point")
+    sub.add_argument("--s0", type=_halfint, help="half-integer twist point; needs --a-tau")
     sub.add_argument("--check-regular", action="store_true")
 
     sub = subs.add_parser("arch-order", help="total Gamma-factor pole order")

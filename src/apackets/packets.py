@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core_types import MINUS, PLUS, Violation, check_sign, sign_str
-from .jordan import ArthurParameter, JordanBlock, Quadruple, to_quadruple
+from .jordan import JordanBlock, Quadruple, to_quadruple
 from .lfactors import pole_contribution_table
 
 PSI_SIDE = "psi"
@@ -82,28 +82,6 @@ def derive_prime_block(a0: int, b0: int) -> Quadruple | None:
     return quad
 
 
-@dataclass(frozen=True)
-class OrderedJord:
-    """Jordan blocks listed in increasing order."""
-
-    blocks: tuple[JordanBlock, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def _blocks_of(ordered: OrderedJord | Sequence[JordanBlock]) -> tuple[JordanBlock, ...]:
-    if isinstance(ordered, OrderedJord):
-        return ordered.blocks
-    return tuple(ordered)
-
-
 def check_constraint1(a: int, b: int, t: int, eta: int) -> str | None:
     """Range condition on (t, eta): detail message if violated, else None.
 
@@ -165,12 +143,9 @@ class PacketParams:
 
 
 def validate_params(
-    ordered: OrderedJord | Sequence[JordanBlock],
-    params: PacketParams,
-    epsilon: int,
+    blocks: Sequence[JordanBlock], params: PacketParams, epsilon: int
 ) -> list[Violation]:
     """Check the per-block range condition and the total sign condition."""
-    blocks = _blocks_of(ordered)
     check_sign(epsilon)
     if len(params) != len(blocks):
         raise ValueError(
@@ -202,13 +177,12 @@ def _signed_pairs(blk: JordanBlock) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def count_params(ordered: OrderedJord | Sequence[JordanBlock], epsilon: int) -> int:
+def count_params(blocks: Sequence[JordanBlock], epsilon: int) -> int:
     """How many packet parameters pass both conditions, without listing them.
 
     A two-state sign DP: (plus, minus) counts the choices on the blocks seen
     so far whose sign product is + or -. O(sum of min(a, b)) exact int work.
     """
-    blocks = _blocks_of(ordered)
     check_sign(epsilon)
     plus, minus = 1, 0
     for blk in blocks:
@@ -218,9 +192,7 @@ def count_params(ordered: OrderedJord | Sequence[JordanBlock], epsilon: int) -> 
     return plus if epsilon == PLUS else minus
 
 
-def enumerate_params(
-    ordered: OrderedJord | Sequence[JordanBlock], epsilon: int
-) -> tuple[PacketParams, ...]:
+def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[PacketParams, ...]:
     """All packet parameters passing both conditions, in lexicographic order
     of the per-block (t, eta) choices.
 
@@ -228,7 +200,6 @@ def enumerate_params(
     completed by exactly those (t, eta) of the last block whose sign makes
     the product epsilon.
     """
-    blocks = _blocks_of(ordered)
     check_sign(epsilon)
     if not blocks:
         return (PacketParams((), ()),) if epsilon == PLUS else ()
@@ -273,9 +244,7 @@ def locate_pivot(
 
 
 def validate_order(
-    ordered: OrderedJord | Sequence[JordanBlock],
-    target: TargetTriple,
-    side: str = PSI_SIDE,
+    blocks: Sequence[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
 ) -> list[Violation]:
     """Check an order against the admissibility conditions for the target.
 
@@ -283,7 +252,6 @@ def validate_order(
     ``side`` says whether the list is the small side (contains the shrunken
     block when b0 > 2) or the enlarged side (contains the enlarged block).
     """
-    blocks = _blocks_of(ordered)
     tq = target.quadruple()
     pq = target.prime_quadruple()
     pivot = locate_pivot(blocks, target, side)
@@ -413,24 +381,22 @@ def _canonical_key(block: JordanBlock) -> tuple:
 
 
 def canonical_order(
-    jord: ArthurParameter | Iterable[JordanBlock],
-    target: TargetTriple | None = None,
-    side: str = PSI_SIDE,
-) -> OrderedJord:
+    blocks: Iterable[JordanBlock], target: TargetTriple | None = None, side: str = PSI_SIDE
+) -> tuple[JordanBlock, ...]:
     """Deterministic admissible order: A ascending with fixed tie-breaks,
     the pivot placed by its A-threshold (minimal in the exceptional case).
 
     With no target, this is just the plain sort.
     """
-    blocks = list(jord.blocks) if isinstance(jord, ArthurParameter) else list(jord)
     pivot_block = None if target is None else target.pivot_block(side)
     if pivot_block is None:  # no target, or small side with b0 = 2: nothing to place
-        return OrderedJord(tuple(sorted(blocks, key=_canonical_key)))
+        return tuple(sorted(blocks, key=_canonical_key))
+    rest = list(blocks)
     try:
-        blocks.remove(pivot_block)
+        rest.remove(pivot_block)
     except ValueError:
         raise ValueError(f"required block {pivot_block} absent from Jord") from None
-    rest = sorted(blocks, key=_canonical_key)
+    rest.sort(key=_canonical_key)
 
     if target.is_exceptional:
         pos = 0
@@ -442,4 +408,4 @@ def canonical_order(
         tq = target.quadruple()
         pos = sum(1 for blk in rest if blk.quadruple().A_x2 < tq.A_x2)
     rest.insert(pos, pivot_block)
-    return OrderedJord(tuple(rest))
+    return tuple(rest)

@@ -8,27 +8,14 @@ from typing import Mapping, Sequence
 from .core_types import CuspidalLabel, GroupType, MINUS, PLUS
 from .jordan import ArthurParameter, JordanBlock, good_parity
 from .packets import (
-    OrderedJord,
     PSI_SIDE,
     PacketParams,
     TargetTriple,
-    _blocks_of,
     block_sign,
     check_constraint1,
-    derive_prime_block,
+    derive_prime_block,  # unused here, but perfbench/tracer.py wraps it in this module
     locate_pivot,
 )
-
-__all__ = [
-    "TargetTriple",
-    "derive_prime_block",
-    "check_target_parity",
-    "build_psi_plus",
-    "transfer_params",
-    "check_sign_identity",
-    "induced_order",
-    "apply_transfer",
-]
 
 
 def check_target_parity(
@@ -129,63 +116,43 @@ def check_sign_identity(a0: int, b0: int, t0: int, eta0: int) -> bool:
     return left == right
 
 
-def induced_order(
-    ordered: OrderedJord | Sequence[JordanBlock],
+def apply_transfer(
+    blocks: Sequence[JordanBlock],
+    params: PacketParams,
     target: TargetTriple,
     insert_position: int | None = None,
-) -> OrderedJord:
-    """Order on the enlarged side: the enlarged block takes the pivot's place.
+) -> tuple[tuple[JordanBlock, ...], PacketParams]:
+    """Transport an order together with its packet coordinates.
 
-    For b0 = 2 there is no place to take and ``insert_position`` must say
-    where the new block goes (otherwise this raises).
+    The enlarged block takes the pivot's place and the pivot's (t, eta) are
+    recomputed; every other position keeps its block and coordinates. For
+    b0 = 2 there is no place to take: ``insert_position`` must say where the
+    fresh block and its coordinates go (otherwise this raises), and it is
+    ignored for b0 > 2.
     """
-    blocks = list(_blocks_of(ordered))
+    if len(params) != len(blocks):
+        raise ValueError(
+            f"params cover {len(params)} blocks, order has {len(blocks)}"
+        )
+    order, t_list, eta_list = list(blocks), list(params.t), list(params.eta)
     if target.b0 == 2:
         if insert_position is None:
             raise ValueError(
                 "b0 = 2 inserts a fresh block: an explicit insert_position is required"
             )
-        if not 0 <= insert_position <= len(blocks):
+        if not 0 <= insert_position <= len(order):
             raise ValueError(
-                f"insert_position {insert_position} outside [0, {len(blocks)}]"
+                f"insert_position {insert_position} outside [0, {len(order)}]"
             )
-        blocks.insert(insert_position, target.plus_block())
-    else:
-        idx = locate_pivot(blocks, target, PSI_SIDE)
-        assert idx is not None
-        blocks[idx] = target.plus_block()
-    return OrderedJord(tuple(blocks))
-
-
-def apply_transfer(
-    ordered: OrderedJord | Sequence[JordanBlock],
-    params: PacketParams,
-    target: TargetTriple,
-    insert_position: int | None = None,
-) -> tuple[OrderedJord, PacketParams]:
-    """Transport an order together with its packet coordinates.
-
-    All positions keep their (t, eta) except the pivot, whose coordinates
-    are recomputed; for b0 = 2 the fresh block's coordinates are inserted at
-    ``insert_position``.
-    """
-    blocks = _blocks_of(ordered)
-    if len(params) != len(blocks):
-        raise ValueError(
-            f"params cover {len(params)} blocks, order has {len(blocks)}"
-        )
-    t_list, eta_list = list(params.t), list(params.eta)
-    if target.b0 == 2:
-        new_order = induced_order(blocks, target, insert_position)
+        order.insert(insert_position, target.plus_block())
         t_plus, eta_plus = transfer_params(0, PLUS, target.a0, 2)
         t_list.insert(insert_position, t_plus)
         eta_list.insert(insert_position, eta_plus)
     else:
-        # induced_order's replacement, at the pivot index already found.
-        idx = locate_pivot(blocks, target, PSI_SIDE)
+        idx = locate_pivot(order, target, PSI_SIDE)
         assert idx is not None
+        order[idx] = target.plus_block()
         t_list[idx], eta_list[idx] = transfer_params(
             t_list[idx], eta_list[idx], target.a0, target.b0
         )
-        new_order = OrderedJord(blocks[:idx] + (target.plus_block(),) + blocks[idx + 1:])
-    return new_order, PacketParams(t=tuple(t_list), eta=tuple(eta_list))
+    return tuple(order), PacketParams(t=tuple(t_list), eta=tuple(eta_list))

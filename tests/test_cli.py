@@ -25,7 +25,9 @@ from apackets.cli import (
 from _helpers import closed_form_count
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN = json.loads((ROOT / "perfbench" / "golden" / "fixtures.json").read_text())
 DEMO = DATA / "demo_workspace.json"
 SP = DATA / "sp_workspace.json"
 
@@ -134,6 +136,14 @@ def test_order_must_be_permutation():
         _param_doc([{"rho": "r", "a": 1, "b": 1}], order=[1])
     )
     assert pointer == "/parameters/0/order"
+
+
+def test_declared_order_permutes_the_blocks():
+    ws = parse_workspace(DEMO.read_text())
+    declared, plain = ws.parameters["P"], ws.parameters["Q"]
+    blocks = declared.parameter.blocks
+    assert declared.ordered() == tuple(blocks[k] for k in (1, 2, 0, 3))
+    assert plain.ordered() is plain.parameter.blocks  # no order: the blocks themselves
 
 
 def test_t_and_eta_must_come_together():
@@ -807,6 +817,26 @@ def test_usage_errors_exit_64(capsys):
     )  # --a-tau without --s0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("transfer", "--param", "P", "--rho", "r", "--a0", "4", "--b0", "3",
+          "--insert-position", "9"), "--insert-position applies only when --b0 is 2"),
+        (("transfer", "--param", "P", "--rho", "r", "--a0", "3", "--b0", "2"),
+         "--b0 2 requires --insert-position"),
+        (("infchar", "--arch", "AI", "--s0", "1"), "--s0 requires --a-tau"),
+        (("infchar", "--arch", "AI", "--a-tau", "1"), "--a-tau requires --s0"),
+    ],
+    ids=["insert-position-without-fresh-block", "fresh-block-without-insert-position",
+         "s0-without-a-tau", "a-tau-without-s0"],
+)
+def test_option_pairing_is_checked_before_the_workspace(capsys, tmp_path, argv, message):
+    # The workspace does not exist, so a check made after reading it would exit 2.
+    code, out, err = _run(capsys, *argv, "-w", str(tmp_path / "nope.json"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+
+
 def test_jac_nonvanishing_without_rho_is_a_usage_error(capsys):
     code, out, err = _run(
         capsys, "jac", "--nonvanishing", "-w", str(SP), "--param", "J", "--from", "1", "--to", "4"
@@ -826,6 +856,19 @@ def test_missing_file_reports_error(capsys, tmp_path):
     code, payload = _run_json(capsys, "validate", "-w", str(tmp_path / "nope.json"))
     assert code == EXIT_FAIL
     assert "error" in payload
+
+
+def _golden_id(k: int, argv: list) -> str:
+    shown = [a for i, a in enumerate(argv) if "-w" not in (a, argv[i - 1] if i else None)]
+    return f"{k}-{' '.join(shown)}"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[_golden_id(k, c["argv"]) for k, c in enumerate(GOLDEN)])
+def test_golden_bytes(capsys, monkeypatch, case):
+    """The benchmark's recorded fixture outputs, byte for byte."""
+    monkeypatch.chdir(ROOT)
+    code, out, _ = _run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -12,7 +12,6 @@ from apackets.jordan import to_quadruple
 from apackets.packets import (
     PSI_PLUS_SIDE,
     PSI_SIDE,
-    OrderedJord,
     PacketParams,
     TargetTriple,
     admissible_pairs,
@@ -216,7 +215,7 @@ def test_count_matches_closed_form(sizes, epsilon):
 )
 def test_count_matches_enumeration(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
-    count = count_params(OrderedJord(tuple(blocks)), epsilon)
+    count = count_params(tuple(blocks), epsilon)
     assert count == len(enumerate_params(blocks, epsilon))
     assert count == closed_form_count(sizes, epsilon)
 
@@ -408,22 +407,22 @@ def test_validate_order_psi_plus_side():
 def test_canonical_order_plain_sort():
     # (1,7) has A = 3; (3,1) has A = 1: ascending A.
     out = canonical_order([blk("r", 1, 7), blk("r", 3, 1)])
-    assert out.blocks == (blk("r", 3, 1), blk("r", 1, 7))
+    assert out == (blk("r", 3, 1), blk("r", 1, 7))
 
 
 def test_canonical_order_duplicates_adjacent_and_deterministic():
     blocks = [blk("r", 2, 1), blk("r", 4, 1), blk("r", 2, 1)]
     out1 = canonical_order(blocks)
     out2 = canonical_order(list(blocks))
-    assert out1.blocks == out2.blocks
-    assert out1.blocks == (blk("r", 2, 1), blk("r", 2, 1), blk("r", 4, 1))
+    assert out1 == out2
+    assert out1 == (blk("r", 2, 1), blk("r", 2, 1), blk("r", 4, 1))
 
 
 def test_canonical_order_with_target_passes_validation():
     target = TargetTriple("r", 5, 3)
     jord = [blk("r", 6, 4), blk("r", 5, 1), blk("r", 1, 1)]
     out = canonical_order(jord, target, PSI_SIDE)
-    assert out.blocks == (blk("r", 1, 1), blk("r", 5, 1), blk("r", 6, 4))
+    assert out == (blk("r", 1, 1), blk("r", 5, 1), blk("r", 6, 4))
     assert validate_order(out, target, PSI_SIDE) == []
 
 
@@ -431,7 +430,7 @@ def test_canonical_order_exceptional_puts_pivot_first():
     target = TargetTriple("r", 3, 4)
     jord = [blk("r", 2, 1), blk("r", 3, 2)]
     out = canonical_order(jord, target, PSI_SIDE)
-    assert out.blocks == (blk("r", 3, 2), blk("r", 2, 1))
+    assert out == (blk("r", 3, 2), blk("r", 2, 1))
     assert validate_order(out, target, PSI_SIDE) == []
 
 
@@ -444,7 +443,7 @@ def test_canonical_order_missing_pivot_raises():
 def test_canonical_order_b0_two_is_plain_sort():
     target = TargetTriple("r", 4, 2)
     out = canonical_order([blk("r", 6, 1), blk("r", 2, 1)], target, PSI_SIDE)
-    assert out.blocks == (blk("r", 2, 1), blk("r", 6, 1))
+    assert out == (blk("r", 2, 1), blk("r", 6, 1))
     assert validate_order(out, target, PSI_SIDE) == []
 
 
@@ -452,7 +451,7 @@ def test_canonical_order_psi_plus_side():
     target = TargetTriple("r", 5, 3)
     jord = [blk("r", 6, 4), blk("r", 5, 3), blk("r", 1, 1)]
     out = canonical_order(jord, target, PSI_PLUS_SIDE)
-    assert out.blocks == (blk("r", 1, 1), blk("r", 5, 3), blk("r", 6, 4))
+    assert out == (blk("r", 1, 1), blk("r", 5, 3), blk("r", 6, 4))
     assert validate_order(out, target, PSI_PLUS_SIDE) == []
 
 
@@ -502,7 +501,7 @@ def test_inserting_sorted_block_never_breaks_p(case):
     prime = target.prime_block()
     if prime is not None:
         psi_blocks.append(prime)
-    out = list(canonical_order(psi_blocks, target, PSI_SIDE).blocks)
+    out = list(canonical_order(psi_blocks, target, PSI_SIDE))
 
     extra = blk("r", 3, 2 if (target.a0 + target.b0) % 2 == 1 else 1)
     from apackets.packets import _canonical_key

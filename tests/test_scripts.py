@@ -32,11 +32,18 @@ def test_packet_survey():
     assert last == "both structural identities held on every multiset."
 
 
-# --a0 2 --b0 5 puts two copies of the pivot block (r, 2, 3) in the parameter.
+# --a0 2 --b0 5 puts two copies of the pivot block (r, 2, 3) in the parameter;
+# --a0 2 --b0 3 is the exceptional corner b0 = a0 + 1, where the pivot sits
+# lowest; --b0 2 inserts a fresh block, so there is no pivot sign identity.
 @pytest.mark.parametrize(
-    "args", [(), ("--a0", "2", "--b0", "5")], ids=["defaults", "two-pivot-copies"]
+    "args, last",
+    [
+        ((), "sign identity for the pivot (t0=0, eta0=+): True"),
+        (("--a0", "2", "--b0", "5"), "sign identity for the pivot (t0=0, eta0=+): True"),
+        (("--a0", "2", "--b0", "3"), "sign identity for the pivot (t0=0, eta0=+): True"),
+        (("--a0", "3", "--b0", "2"), "order violations on the enlarged side: none"),
+    ],
+    ids=["defaults", "two-pivot-copies", "exceptional", "fresh-block"],
 )
-def test_enlargement_walkthrough(args):
-    last = _run_script("enlargement_walkthrough.py", *args)
-    assert last.startswith("sign identity for the pivot")
-    assert last.endswith(": True")
+def test_enlargement_walkthrough(args, last):
+    assert _run_script("enlargement_walkthrough.py", *args) == last

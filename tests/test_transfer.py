@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from apackets.core_types import MINUS, PLUS, GroupType
 from apackets.jordan import ArthurParameter, JordanBlock
 from apackets.packets import (
-    OrderedJord,
     PSI_PLUS_SIDE,
     PSI_SIDE,
     PacketParams,
@@ -28,7 +27,6 @@ from apackets.transfer import (
     apply_transfer,
     build_psi_plus,
     check_sign_identity,
-    induced_order,
     transfer_params,
 )
 
@@ -183,42 +181,28 @@ def _four_block_order():
     return blocks, target
 
 
-def test_induced_order_swaps_pivot_in_place():
-    blocks, target = _four_block_order()
-    out = induced_order(blocks, target)
-    assert out.blocks == (
-        blk("r", 2, 1),
-        blk("r", 2, 3),
-        blk("r", 4, 3),
-        blk("r", 4, 3),
-    )
-
-
 def _reduced_blocks(ordered_plus, target):
     """Small-side order read back from the enlarged side: the enlarged
     side's pivot goes back to the shrunken block (b0 > 2)."""
-    blocks = list(ordered_plus.blocks)
+    blocks = list(ordered_plus)
     blocks[locate_pivot(blocks, target, PSI_PLUS_SIDE)] = target.prime_block()
     return tuple(blocks)
 
 
+def _transported_order(blocks, target, insert_position=None):
+    """The order half of apply_transfer, with all-zero coordinates."""
+    params = PacketParams(t=(0,) * len(blocks), eta=(PLUS,) * len(blocks))
+    return apply_transfer(blocks, params, target, insert_position)[0]
+
+
 def test_reduced_order_inverts_induced():
     blocks, target = _four_block_order()
-    assert _reduced_blocks(induced_order(blocks, target), target) == tuple(blocks)
+    assert _reduced_blocks(_transported_order(blocks, target), target) == tuple(blocks)
 
 
-def test_induced_order_fresh_block_requires_position():
-    blocks = [blk("r", 2, 1), blk("r", 4, 1)]
-    target = TargetTriple("r", 4, 2)
-    with pytest.raises(ValueError):
-        induced_order(blocks, target)
-    out = induced_order(blocks, target, insert_position=1)
-    assert out.blocks == (blk("r", 2, 1), blk("r", 4, 2), blk("r", 4, 1))
-
-
-def test_induced_order_position_out_of_range():
-    with pytest.raises(ValueError):
-        induced_order([blk("r", 2, 1)], TargetTriple("r", 4, 2), insert_position=3)
+def test_apply_transfer_position_out_of_range():
+    with pytest.raises(ValueError, match="outside"):
+        _transported_order([blk("r", 2, 1)], TargetTriple("r", 4, 2), insert_position=3)
 
 
 @settings(max_examples=150)
@@ -227,16 +211,24 @@ def test_induced_order_position_out_of_range():
     st.integers(3, 7),
     st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=3),
 )
-def test_induced_order_replaces_only_the_pivot(a0, b0, extra_sizes):
+def test_apply_transfer_replaces_only_the_pivot(a0, b0, extra_sizes):
     target = TargetTriple("r", a0, b0)
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks.append(target.prime_block())
     ordered = canonical_order(blocks, target, PSI_SIDE)
-    pivot = locate_pivot(ordered.blocks, target, PSI_SIDE)
-    expected = list(ordered.blocks)
+    pivot = locate_pivot(ordered, target, PSI_SIDE)
+    # t grows with the position where the block's range allows, so a shifted
+    # coordinate would show.
+    t = tuple(min(k, min(b.a, b.b) // 2) for k, b in enumerate(ordered))
+    params = PacketParams(t=t, eta=(PLUS,) * len(ordered))
+    new_order, new_params = apply_transfer(ordered, params, target)
+    expected = list(ordered)
     expected[pivot] = target.plus_block()
-    assert induced_order(ordered, target).blocks == tuple(expected)
+    assert new_order == tuple(expected)
+    assert [x for k, x in enumerate(new_params.t) if k != pivot] == [
+        x for k, x in enumerate(t) if k != pivot
+    ]
 
 
 @settings(max_examples=150)
@@ -251,8 +243,8 @@ def test_reduced_of_induced_is_identity(a0, b0, extra_sizes):
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks.append(target.prime_block())
     ordered = canonical_order(blocks, target, PSI_SIDE)
-    back = _reduced_blocks(induced_order(ordered, target), target)
-    assert back == tuple(ordered.blocks)
+    back = _reduced_blocks(_transported_order(ordered, target), target)
+    assert back == ordered
 
 
 # --- full transport --------------------------------------------------------------
@@ -262,7 +254,7 @@ def test_apply_transfer_example():
     blocks, target = _four_block_order()
     params = PacketParams(t=(0, 1, 0, 1), eta=(PLUS, PLUS, PLUS, PLUS))
     new_order, new_params = apply_transfer(blocks, params, target)
-    assert new_order.blocks == (
+    assert new_order == (
         blk("r", 2, 1),
         blk("r", 2, 3),
         blk("r", 4, 3),
@@ -286,10 +278,12 @@ def test_apply_transfer_scans_for_the_pivot_once(a0, b0, copies, extra_sizes):
     blocks += [target.prime_block()] * copies
     ordered = canonical_order(blocks, target, PSI_SIDE)
     params = PacketParams(t=(0,) * len(blocks), eta=(PLUS,) * len(blocks))
+    expected = list(ordered)
+    expected[locate_pivot(ordered, target, PSI_SIDE)] = target.plus_block()
     with mock.patch("apackets.transfer.locate_pivot", wraps=locate_pivot) as spy:
         new_order, _ = apply_transfer(ordered, params, target)
     assert spy.call_count == 1
-    assert new_order == induced_order(ordered, target)
+    assert new_order == tuple(expected)
 
 
 def test_apply_transfer_fresh_block():
@@ -297,13 +291,13 @@ def test_apply_transfer_fresh_block():
     params = PacketParams(t=(0, 0), eta=(MINUS, PLUS))
     target = TargetTriple("r", 4, 2)
     new_order, new_params = apply_transfer(blocks, params, target, insert_position=1)
-    assert new_order.blocks == (blk("r", 2, 1), blk("r", 4, 2), blk("r", 4, 1))
+    assert new_order == (blk("r", 2, 1), blk("r", 4, 2), blk("r", 4, 1))
     assert new_params.t == (0, 1, 0)
     assert new_params.eta == (MINUS, PLUS, PLUS)
 
 
 def test_apply_transfer_fresh_block_requires_position():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="explicit insert_position is required"):
         apply_transfer(
             [blk("r", 4, 1)],
             PacketParams(t=(0,), eta=(PLUS,)),
@@ -343,7 +337,7 @@ def test_apply_transfer_is_order_independent():
         new_order, new_params = apply_transfer(list(perm), params, target)
         outcome = frozenset(
             (str(b), t, eta)
-            for b, t, eta in zip(new_order.blocks, new_params.t, new_params.eta)
+            for b, t, eta in zip(new_order, new_params.t, new_params.eta)
         )
         outcomes.add(outcome)
     assert admissible >= 1
