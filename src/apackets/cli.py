@@ -581,7 +581,25 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     }
 
 
+# The options only one ``jac`` mode reads, as (namespace attribute, option).
+_NORMAL_FORM_ONLY = (("exponents", "--exponents"),)
+_NONVANISHING_ONLY = (
+    ("param", "--param"),
+    ("seg_from", "--from"),
+    ("seg_to", "--to"),
+    ("workspace", "--workspace"),
+)
+
+
 def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
+    other, foreign = (
+        ("--nonvanishing", _NONVANISHING_ONLY)
+        if args.normal_form
+        else ("--normal-form", _NORMAL_FORM_ONLY)
+    )
+    for attr, option in foreign:
+        if getattr(args, attr) is not None:
+            raise UsageError(f"{option} applies only to {other}")
     if args.normal_form:
         if args.exponents is None:
             raise UsageError("--normal-form requires --exponents")

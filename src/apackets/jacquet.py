@@ -4,6 +4,7 @@ nonvanishing, and sufficient irreducibility criteria."""
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 from .core_types import HalfInt
@@ -38,29 +39,47 @@ class JacSequence:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
 
+# Doubled exponents at most this far apart do not commute.
+_NONCOMMUTING_SPREAD_X2 = 2
+
+
 def jac_commutes(x_x2: int, y_x2: int) -> bool:
     """Adjacent exponents x, y (doubled) may be swapped exactly when |x - y| > 1."""
-    return abs(x_x2 - y_x2) > 2
+    return abs(x_x2 - y_x2) > _NONCOMMUTING_SPREAD_X2
 
 
 def jac_normal_form(seq: JacSequence) -> JacSequence:
     """Lexicographically smallest word in the commutation class of ``seq``.
 
-    Greedy: repeatedly emit the smallest exponent that commutes past
-    everything before it.
+    The class minimum is the least linear extension of the order that the
+    word puts on its non-commuting pairs (Cartier-Foata), so Kahn's
+    topological sort with a min-heap on (value, position) builds it. Each
+    letter waits only for the last earlier occurrence of each value that
+    does not commute with it; the earlier ones follow by transitivity, since
+    equal letters never commute. O(n log n) for n letters.
     """
-    remaining = [e.doubled for e in seq.exponents]
-    out: list[int] = []
-    while remaining:
-        best_idx = None
-        for idx, letter in enumerate(remaining):
-            if any(not jac_commutes(letter, remaining[j]) for j in range(idx)):
-                continue
-            if best_idx is None or letter < remaining[best_idx]:
-                best_idx = idx
-        assert best_idx is not None  # idx 0 always qualifies
-        out.append(remaining.pop(best_idx))
-    return JacSequence(seq.rho, tuple(HalfInt(d) for d in out))
+    word = [e.doubled for e in seq.exponents]
+    waits = [0] * len(word)
+    after: list[list[int]] = [[] for _ in word]
+    last: dict[int, int] = {}
+    for i, d in enumerate(word):
+        for v in range(d - _NONCOMMUTING_SPREAD_X2, d + _NONCOMMUTING_SPREAD_X2 + 1):
+            j = last.get(v)
+            if j is not None:
+                after[j].append(i)
+                waits[i] += 1
+        last[d] = i
+    ready = [(d, i) for i, d in enumerate(word) if waits[i] == 0]
+    heapq.heapify(ready)
+    out: list[HalfInt] = []
+    while ready:
+        d, i = heapq.heappop(ready)
+        out.append(HalfInt(d))
+        for k in after[i]:
+            waits[k] -= 1
+            if waits[k] == 0:
+                heapq.heappush(ready, (word[k], k))
+    return JacSequence(seq.rho, tuple(out))
 
 
 def jac_nonvanishing_necessary(
@@ -71,6 +90,10 @@ def jac_nonvanishing_necessary(
     Looks for blocks (rho, A_1, B_1, zeta_1), ..., (rho, A_v, B_v, zeta_v)
     with zeta_1 B_1 = start, A_v >= |stop|, and B_{i+1} <= A_i + 1 along the
     chain. True means "possibly nonzero"; False is conclusive vanishing.
+
+    The blocks a chain reaches are the starting blocks and every block with
+    B <= (largest A reached) + 1, so one pass over the blocks sorted by B
+    finds the largest reachable A. O(n log n).
     """
     quads = []
     for blk in psi.blocks:
@@ -80,20 +103,15 @@ def jac_nonvanishing_necessary(
             raise ValueError(f"twisted block {blk} in chain search (decompose first)")
         quads.append(blk.quadruple())
 
-    x, abs_y = seg.start.doubled, abs(seg.stop.doubled)
-    frontier = [i for i, q in enumerate(quads) if q.zeta * q.B_x2 == x]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            if quads[i].A_x2 >= abs_y:
-                return True
-            for j, q in enumerate(quads):
-                if j not in seen and q.B_x2 <= quads[i].A_x2 + 2:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return False
+    x = seg.start.doubled
+    reach = max((q.A_x2 for q in quads if q.zeta * q.B_x2 == x), default=None)
+    if reach is None:
+        return False
+    for q in sorted(quads, key=lambda q: q.B_x2):
+        if q.B_x2 > reach + 2:
+            break
+        reach = max(reach, q.A_x2)
+    return reach >= abs(seg.stop.doubled)
 
 
 class IrredVerdict(enum.Enum):

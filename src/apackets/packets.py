@@ -4,6 +4,7 @@ canonical order construction."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -243,6 +244,54 @@ def locate_pivot(
     return indices[-1]
 
 
+def _monotonicity_violations(
+    blocks: Sequence[JordanBlock], quads: Sequence[Quadruple]
+) -> list[Violation]:
+    """The P violations: a block sitting below a strictly smaller one (smaller
+    A and smaller B) of the same label, twist and zeta; i ascending, then j.
+
+    Within each (rho, twist, zeta) class a right-to-left sweep keeps a Fenwick
+    tree of the least B over the ranks of A seen so far, which flags every
+    position with some violation; only flagged positions are compared with
+    the later ones. O(n log n) plus one scan of its class per flagged block.
+    """
+    classes: dict[tuple, list[tuple[int, int, int]]] = {}
+    for i, (blk, q) in enumerate(zip(blocks, quads)):
+        # The twist as its reduced numerator and denominator: hashing a
+        # Fraction is slow.
+        key = (blk.rho, q.zeta, blk.twist.numerator, blk.twist.denominator)
+        classes.setdefault(key, []).append((i, q.A_x2, q.B_x2))
+    pairs: list[tuple[int, int]] = []
+    for members in classes.values():
+        rank = {a: r for r, a in enumerate(sorted({a for _, a, _ in members}), 1)}
+        size = len(rank) + 1
+        least_b = [max(b for _, _, b in members)] * size  # Fenwick tree of prefix minima
+        flagged: list[int] = []
+        for k in range(len(members) - 1, -1, -1):
+            _, a, b = members[k]
+            r = rank[a] - 1  # the ranks of strictly smaller A
+            while r:
+                if least_b[r] < b:
+                    flagged.append(k)
+                    break
+                r -= r & -r
+            r = rank[a]
+            while r < size:
+                if b < least_b[r]:
+                    least_b[r] = b
+                r += r & -r
+        for k in flagged:
+            i, a, b = members[k]
+            pairs.extend((i, j) for j, a_j, b_j in members[k + 1 :] if a > a_j and b > b_j)
+    pairs.sort()
+    return [
+        Violation(
+            "P", f"block {blocks[i]} at position {i} sits below strictly smaller {blocks[j]} at {j}"
+        )
+        for i, j in pairs
+    ]
+
+
 def validate_order(
     blocks: Sequence[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
 ) -> list[Violation]:
@@ -256,22 +305,7 @@ def validate_order(
     pq = target.prime_quadruple()
     pivot = locate_pivot(blocks, target, side)
     quads = [blk.quadruple() for blk in blocks]
-    violations: list[Violation] = []
-
-    # Monotonicity: same label, same zeta, strictly larger A and B must sit higher.
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            bi, bj = blocks[i], blocks[j]
-            if bi.rho != bj.rho or bi.twist != bj.twist:
-                continue
-            qi, qj = quads[i], quads[j]
-            if qi.zeta == qj.zeta and qi.A_x2 > qj.A_x2 and qi.B_x2 > qj.B_x2:
-                violations.append(
-                    Violation(
-                        "P",
-                        f"block {bi} at position {i} sits below strictly smaller {bj} at {j}",
-                    )
-                )
+    violations = _monotonicity_violations(blocks, quads)
 
     relevant = [
         (i, quads[i])
@@ -295,14 +329,13 @@ def validate_order(
     for i, q in relevant:
         if q.A_x2 >= tq.A_x2:
             continue
-        for j in contributors:
-            if j != i and i > j:
-                violations.append(
-                    Violation(
-                        "Pp2",
-                        f"block at position {i} with A < A0 sits above pole-contributing block at {j}",
-                    )
+        for j in contributors[: bisect.bisect_left(contributors, i)]:
+            violations.append(
+                Violation(
+                    "Pp2",
+                    f"block at position {i} with A < A0 sits above pole-contributing block at {j}",
                 )
+            )
 
     if target.is_exceptional and pivot is not None and pivot != 0:
         violations.append(

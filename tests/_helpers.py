@@ -1,4 +1,4 @@
-"""Shared factories for the test suite.
+"""Shared factories and brute-force oracles for the test suite.
 
 The standard label universe used across tests:
 
@@ -20,13 +20,18 @@ from fractions import Fraction
 from math import prod
 
 from apackets.core_types import (
+    MINUS,
+    PLUS,
     CuspidalLabel,
     GroupKind,
     GroupType,
     HalfInt,
     Parity,
+    Violation,
 )
 from apackets.jordan import ArthurParameter, JordanBlock
+from apackets.lfactors import pole_contribution_table
+from apackets.packets import PSI_SIDE, TargetTriple, locate_pivot
 
 
 def h(n: int) -> HalfInt:
@@ -120,3 +125,184 @@ def closed_form_count(sizes, epsilon: int) -> int:
     diff = prod(sign_excess(a, b) for a, b in sizes)
     assert (total + epsilon * diff) % 2 == 0
     return (total + epsilon * diff) // 2
+
+
+# --- brute-force oracles for the Jacquet normal form --------------------------
+
+
+def commutation_class_min(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest word reachable from ``word`` (doubled exponents) by adjacent
+    swaps of letters more than 1 apart: a search of the whole class."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(len(w) - 1):
+                if abs(w[i] - w[i + 1]) > 2:
+                    swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+                    if swapped not in seen:
+                        seen.add(swapped)
+                        nxt.append(swapped)
+        frontier = nxt
+    return min(seen)
+
+
+def greedy_normal_form(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The class minimum by the cubic greedy: repeatedly emit the smallest
+    letter that commutes past everything before it."""
+    remaining = list(word)
+    out = []
+    while remaining:
+        best = None
+        for idx, letter in enumerate(remaining):
+            if any(abs(letter - remaining[j]) <= 2 for j in range(idx)):
+                continue
+            if best is None or letter < remaining[best]:
+                best = idx
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def respects_commutation_order(word, result) -> bool:
+    """Whether ``result`` permutes ``word`` and keeps every pair of letters at
+    most 1 apart (doubled: 2) in their order in ``word``."""
+    if sorted(word) != sorted(result):
+        return False
+    # Equal letters never commute, so the k-th copy of a value in the word is
+    # the k-th copy in the result.
+    slots: dict[int, list[int]] = {}
+    for pos, d in enumerate(result):
+        slots.setdefault(d, []).append(pos)
+    copies = {d: iter(ps) for d, ps in slots.items()}
+    pos_of = [next(copies[d]) for d in word]
+    # A letter after the last earlier copy of each value within 2 is after
+    # every earlier copy, since the copies keep their order.
+    last: dict[int, int] = {}
+    for i, d in enumerate(word):
+        if any(v in last and pos_of[last[v]] > pos_of[i] for v in range(d - 2, d + 3)):
+            return False
+        last[d] = i
+    return True
+
+
+# --- brute-force oracle for order validation -----------------------------------
+
+
+def validate_order_all_pairs(blocks, target: TargetTriple, side: str = PSI_SIDE) -> list[Violation]:
+    """The admissible-order conditions checked the direct way: every pair of
+    positions for the monotonicity (P) and Pp2 conditions."""
+    tq = target.quadruple()
+    pq = target.prime_quadruple()
+    pivot = locate_pivot(blocks, target, side)
+    quads = [b.quadruple() for b in blocks]
+    violations = []
+
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            bi, bj = blocks[i], blocks[j]
+            if bi.rho != bj.rho or bi.twist != bj.twist:
+                continue
+            qi, qj = quads[i], quads[j]
+            if qi.zeta == qj.zeta and qi.A_x2 > qj.A_x2 and qi.B_x2 > qj.B_x2:
+                violations.append(
+                    Violation("P", f"block {bi} at position {i} sits below strictly smaller {bj} at {j}")
+                )
+
+    relevant = [
+        (i, quads[i])
+        for i, b in enumerate(blocks)
+        if b.rho == target.rho and b.twist == 0 and i != pivot
+    ]
+    contributors = [i for i, q in relevant if pole_contribution_table(q, tq) == 1]
+
+    if pivot is not None:
+        for i in contributors:
+            if i < pivot:
+                violations.append(
+                    Violation(
+                        "Pp1",
+                        f"pole-contributing block at position {i} sits below the pivot at {pivot}",
+                    )
+                )
+
+    for i, q in relevant:
+        if q.A_x2 >= tq.A_x2:
+            continue
+        for j in contributors:
+            if j != i and i > j:
+                violations.append(
+                    Violation(
+                        "Pp2",
+                        f"block at position {i} with A < A0 sits above pole-contributing block at {j}",
+                    )
+                )
+
+    if target.is_exceptional and pivot is not None and pivot != 0:
+        violations.append(
+            Violation(
+                "ExceptionalMinimality",
+                f"target has b0 = a0 + 1; the pivot must be minimal, found at position {pivot}",
+            )
+        )
+
+    if tq.zeta == PLUS and pivot is not None:
+        for i, q in relevant:
+            if q.zeta == PLUS and q.A_x2 < tq.A_x2 and i > pivot and not (q.B_x2 > tq.B_x2 + 2):
+                violations.append(
+                    Violation(
+                        "Condition0",
+                        f"block at position {i} above the pivot has A < A0 but B <= B0 + 1",
+                    )
+                )
+
+    if target.b0 > 2 and not target.is_exceptional and pivot is not None:
+        for i, q in relevant:
+            if q.zeta != tq.zeta:
+                continue
+            if q.A_x2 == tq.A_x2 and q.B_x2 > pq.B_x2 and i < pivot:
+                violations.append(
+                    Violation(
+                        "Limit1",
+                        f"block at position {i} with A = A0 and B > B'0 must sit above the pivot",
+                    )
+                )
+            if q.A_x2 == pq.A_x2 and q.B_x2 < tq.B_x2 and i > pivot:
+                violations.append(
+                    Violation(
+                        "Limit2",
+                        f"block at position {i} with A = A'0 and B < B0 must sit below the pivot",
+                    )
+                )
+            if q.B_x2 == tq.B_x2:
+                if tq.zeta == PLUS and q.A_x2 < pq.A_x2 and i > pivot:
+                    violations.append(
+                        Violation(
+                            "Limit3",
+                            f"block at position {i} with B = B0 and A < A'0 must sit below the pivot",
+                        )
+                    )
+                if tq.zeta == MINUS and q.A_x2 >= tq.A_x2 and i < pivot:
+                    violations.append(
+                        Violation(
+                            "Limit3",
+                            f"block at position {i} with B = B0 and A >= A0 must sit above the pivot",
+                        )
+                    )
+            if q.B_x2 == pq.B_x2:
+                if tq.zeta == PLUS and q.A_x2 > tq.A_x2 and i < pivot:
+                    violations.append(
+                        Violation(
+                            "Limit4",
+                            f"block at position {i} with B = B'0 and A > A0 must sit above the pivot",
+                        )
+                    )
+                if tq.zeta == MINUS and q.A_x2 < tq.A_x2 and i > pivot:
+                    violations.append(
+                        Violation(
+                            "Limit4",
+                            f"block at position {i} with B = B'0 and A < A0 must sit below the pivot",
+                        )
+                    )
+
+    return violations

@@ -39,6 +39,7 @@ from apackets.packets import (
     validate_order,
 )
 from apackets.transfer import check_sign_identity, transfer_params
+from _helpers import commutation_class_min
 
 SEED = 20260819
 DATA = Path(__file__).parent / "data"
@@ -143,23 +144,7 @@ def test_criterion_3_packet_enumeration_matches_brute_force():
     print(f"\nPASS criterion 3: packet enumeration matches brute force on {cases} cases")
 
 
-# --- criterion 4: the greedy normal form is the commutation-class minimum -----------
-
-
-def _class_minimum(word):
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(len(w) - 1):
-                if abs(w[i] - w[i + 1]) > 2:
-                    s = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-        frontier = nxt
-    return min(seen)
+# --- criterion 4: the normal form is the commutation-class minimum ------------------
 
 
 def test_criterion_4_normal_form_confluence():
@@ -167,7 +152,7 @@ def test_criterion_4_normal_form_confluence():
     for _ in range(1000):
         word = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 8)))
         nf = jac_normal_form(JacSequence("r", tuple(HalfInt(d) for d in word)))
-        assert tuple(e.doubled for e in nf.exponents) == _class_minimum(word), word
+        assert tuple(e.doubled for e in nf.exponents) == commutation_class_min(word), word
     print("\nPASS criterion 4: normal form equals the class minimum on 1000 words")
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,8 @@ from apackets.cli import (
     run,
     serialize_workspace,
 )
-from _helpers import closed_form_count
+from apackets.core_types import HalfInt
+from _helpers import closed_form_count, respects_commutation_order
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -531,6 +533,39 @@ def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
     assert payload == {"count": closed_form_count(sizes, epsilon), "epsilon": sign}
 
 
+def test_jac_normal_form_twenty_thousand_letters(capsys):
+    # A cubic greedy takes about 3 s on 800 letters already; this word needs
+    # the O(n log n) heap-driven sort.
+    rng = random.Random(41)
+    word = [rng.randint(-60, 60) for _ in range(20_000)]
+    exponents = ",".join(str(HalfInt(d)) for d in word)
+    code, payload = _run_json(capsys, "jac", "--normal-form", f"--exponents={exponents}")
+    assert code == EXIT_OK
+    assert respects_commutation_order(word, payload["exponents_x2"])
+    assert not respects_commutation_order(word, sorted(word))  # the check has teeth
+
+
+def test_order_validate_five_thousand_block_canonical_order(capsys, tmp_path):
+    # An all-pairs P check takes about 20 s on this order; the sweep is
+    # O(n log n).
+    rng = random.Random(41)
+    jord = []
+    while len(jord) < 5_000:
+        a, b = rng.randint(1, 80), rng.randint(1, 80)
+        if (a + b) % 2 == 1:  # good parity for SOodd and r
+            jord.append({"rho": "r", "a": a, "b": b})
+    jord.append({"rho": "r", "a": 4, "b": 3})  # the shrunken block of (r, 4, 5)
+    ws = tmp_path / "ws.json"
+    ws.write_text(_param_doc(jord))
+    target = ("--rho", "r", "--a0", "4", "--b0", "5")
+    code, canonical = _run_json(capsys, "order", "-w", str(ws), "--param", "P", *target, "--canonical")
+    assert code == EXIT_OK
+    assert sorted(canonical["indices"]) == list(range(len(jord)))
+    ws.write_text(_param_doc(jord, order=canonical["indices"]))
+    code, payload = _run_json(capsys, "order", "-w", str(ws), "--param", "P", *target, "--validate")
+    assert (code, payload) == (EXIT_OK, {"violations": []})
+
+
 def test_order_validate(capsys):
     code, payload = _run_json(
         capsys,
@@ -832,6 +867,30 @@ def test_usage_errors_exit_64(capsys):
 )
 def test_option_pairing_is_checked_before_the_workspace(capsys, tmp_path, argv, message):
     # The workspace does not exist, so a check made after reading it would exit 2.
+    code, out, err = _run(capsys, *argv, "-w", str(tmp_path / "nope.json"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("jac", "--normal-form", "--exponents=1,3", "--param", "P", "--from", "1", "--to", "2"),
+         "--param applies only to --nonvanishing"),
+        (("jac", "--normal-form", "--exponents=1,3", "--from", "1"),
+         "--from applies only to --nonvanishing"),
+        (("jac", "--normal-form", "--exponents=1,3", "--to", "2"),
+         "--to applies only to --nonvanishing"),
+        (("jac", "--normal-form", "--exponents=1,3"),
+         "--workspace applies only to --nonvanishing"),
+        (("jac", "--nonvanishing", "--param", "J", "--rho", "r", "--from", "1", "--to", "4",
+          "--exponents=1,2"), "--exponents applies only to --normal-form"),
+    ],
+    ids=["normal-form-param", "normal-form-from", "normal-form-to", "normal-form-workspace",
+         "nonvanishing-exponents"],
+)
+def test_jac_rejects_the_other_modes_options(capsys, tmp_path, argv, message):
+    # Checked before the (missing) workspace is read, which would exit 2.
     code, out, err = _run(capsys, *argv, "-w", str(tmp_path / "nope.json"))
     assert (code, out) == (EXIT_USAGE, "")
     assert message in err

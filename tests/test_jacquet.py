@@ -2,6 +2,7 @@
 irreducibility criteria."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from apackets.jacquet import (
     jac_normal_form,
 )
 
-from _helpers import blk, h, h2, sp, sp_param
+from _helpers import blk, commutation_class_min, greedy_normal_form, h, h2, sp, sp_param
 
 
 # --- segments ------------------------------------------------------------------
@@ -62,32 +63,24 @@ def test_jac_normal_form_keeps_label_and_empty():
     assert nf.exponents == ()
 
 
-def _commutation_class_min(doubles: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest word reachable by adjacent swaps of far-apart letters."""
-    seen = {doubles}
-    frontier = [doubles]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for i in range(len(word) - 1):
-                if abs(word[i] - word[i + 1]) > 2:
-                    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-                    if swapped not in seen:
-                        seen.add(swapped)
-                        nxt.append(swapped)
-        frontier = nxt
-    return min(seen)
-
-
 @settings(max_examples=200)
 @given(st.lists(st.integers(-6, 6), max_size=6))
 def test_jac_normal_form_is_class_minimum(doubles):
     seq = JacSequence("r", tuple(HalfInt(d) for d in doubles))
     nf = jac_normal_form(seq)
     got = tuple(e.doubled for e in nf.exponents)
-    assert got == _commutation_class_min(tuple(doubles))
+    assert got == commutation_class_min(tuple(doubles))
     assert sorted(got) == sorted(doubles)  # permutation of the input
     assert jac_normal_form(nf) == nf  # idempotent
+
+
+def test_jac_normal_form_matches_greedy_oracle():
+    # Words too long for the class search: the cubic greedy is the oracle.
+    rng = random.Random(20091)
+    for _ in range(2000):
+        word = tuple(rng.randint(-8, 8) for _ in range(rng.randint(0, 12)))
+        nf = jac_normal_form(JacSequence("r", tuple(HalfInt(d) for d in word)))
+        assert tuple(e.doubled for e in nf.exponents) == greedy_normal_form(word), word
 
 
 # --- chain condition ---------------------------------------------------------------

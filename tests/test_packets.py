@@ -2,6 +2,8 @@
 canonical order construction."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from apackets.packets import (
     validate_order,
     validate_params,
 )
-from _helpers import blk, closed_form_count
+from _helpers import blk, closed_form_count, validate_order_all_pairs
 
 # --- the range condition and block signs -------------------------------------
 
@@ -511,3 +513,43 @@ def test_inserting_sorted_block_never_breaks_p(case):
     out.insert(pos, extra)
     codes = [v.code for v in validate_order(out, target, PSI_SIDE)]
     assert "P" not in codes
+
+
+# The sweep against the all-pairs oracle, on orders mixing labels, twists,
+# duplicates, both sides, exceptional targets (b0 = a0 + 1) and b0 = 2.
+
+
+def _random_order_case(rng):
+    a0 = rng.randint(1, 6)
+    target = TargetTriple("r", a0, rng.choice([2, a0 + 1, rng.randint(2, 8)]))
+    side = rng.choice([PSI_SIDE, PSI_PLUS_SIDE])
+    blocks = [blk("r", rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(0, 14))]
+    blocks += [blk("rs", rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 2)):  # a twisted contragredient pair
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        x = Fraction(rng.choice([-1, 1]), rng.choice([3, 4, 5]))
+        blocks += [blk("u", a, b, x), blk("v", a, b, -x)]
+    if rng.random() < 0.3:  # twisted blocks on the target's own label
+        blocks += [blk("r", rng.randint(1, 6), rng.randint(1, 6), Fraction(1, 4)) for _ in range(2)]
+    blocks += rng.sample(blocks, min(len(blocks), rng.randint(0, 3)))  # duplicates
+    pivot = target.pivot_block(side)
+    if pivot is not None:
+        blocks += [pivot] * rng.randint(1, 2)
+    if rng.random() < 0.5:
+        return list(canonical_order(blocks, target, side)), target, side
+    rng.shuffle(blocks)
+    return blocks, target, side
+
+
+def test_validate_order_matches_all_pairs_oracle():
+    rng = random.Random(20090)
+    codes = set()
+    for _ in range(1500):
+        blocks, target, side = _random_order_case(rng)
+        got = validate_order(blocks, target, side)
+        assert got == validate_order_all_pairs(blocks, target, side), (blocks, target, side)
+        codes.update(v.code for v in got)
+    assert codes == {
+        "P", "Pp1", "Pp2", "ExceptionalMinimality", "Condition0",
+        "Limit1", "Limit2", "Limit3", "Limit4",
+    }
