@@ -39,13 +39,9 @@ class JacSequence:
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
 
-# Doubled exponents at most this far apart do not commute.
+# Adjacent exponents x, y may be swapped exactly when |x - y| > 1: doubled
+# exponents at most this far apart do not commute.
 _NONCOMMUTING_SPREAD_X2 = 2
-
-
-def jac_commutes(x_x2: int, y_x2: int) -> bool:
-    """Adjacent exponents x, y (doubled) may be swapped exactly when |x - y| > 1."""
-    return abs(x_x2 - y_x2) > _NONCOMMUTING_SPREAD_X2
 
 
 def jac_normal_form(seq: JacSequence) -> JacSequence:

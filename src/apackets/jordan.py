@@ -3,8 +3,10 @@ decomposition of a parameter into good / bad-parity / nonunitary parts."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core_types import (
@@ -140,52 +142,56 @@ def _block_sort_key(block: JordanBlock) -> tuple:
     return (block.rho, block.a, block.b, block.twist)
 
 
-def _dual_partner_ok(
-    one: JordanBlock, other: JordanBlock, labels: Mapping[str, CuspidalLabel]
-) -> bool:
-    """Whether ``other`` can be the contragredient partner of ``one``."""
-    if (one.a, one.b) != (other.a, other.b):
-        return False
-    if one.twist + other.twist != 0:
-        return False
-    l1, l2 = labels[one.rho], labels[other.rho]
-    if l1.self_dual:
-        return other.rho == one.rho
-    return (not l2.self_dual) and l2.id != l1.id and l2.dim == l1.dim
-
-
-def _pair_up(
+def _pairing_classes(
     blocks: Sequence[JordanBlock], labels: Mapping[str, CuspidalLabel]
-) -> list[tuple[JordanBlock, JordanBlock]]:
-    """Group blocks into contragredient pairs, or raise naming a leftover block.
+) -> list[list[JordanBlock]]:
+    """The blocks, sorted, in the classes that contragredient partners share;
+    raises naming the least block of the first class that cannot pair up.
 
-    Deterministic backtracking over the sorted multiset; partner candidates
-    are tried in sorted order.
-    """
-    items = sorted(blocks, key=_block_sort_key)
+    Partners have equal (a, b) and opposite twists; a self-dual label pairs
+    only with itself, any other with a distinct non-self-dual label of equal
+    dimension. So a class of n blocks pairs up iff n is even, n/2 of them
+    have the positive twist if it is twisted, and no label holds more than
+    n/2 of them if it is not self-dual (Hall's condition)."""
+    classes: dict[tuple, list[JordanBlock]] = {}
+    for blk in sorted(blocks, key=_block_sort_key):
+        label = labels[blk.rho]
+        key = (blk.a, blk.b, abs(blk.twist), blk.rho if label.self_dual else label.dim)
+        classes.setdefault(key, []).append(blk)
+    for cls in classes.values():
+        half, odd = divmod(len(cls), 2)
+        positive = sum(blk.twist > 0 for blk in cls)
+        heaviest = max(Counter(blk.rho for blk in cls).values())
+        if odd or (cls[0].twist and positive != half) or (
+            heaviest > half and not labels[cls[0].rho].self_dual
+        ):
+            raise ValueError(f"blocks cannot be grouped into contragredient pairs (near {cls[0]})")
+    return list(classes.values())
 
-    def solve(remaining: list[JordanBlock]) -> list[tuple[JordanBlock, JordanBlock]] | None:
-        if not remaining:
-            return []
-        first, rest = remaining[0], remaining[1:]
-        tried: set[JordanBlock] = set()
-        for idx, cand in enumerate(rest):
-            if cand in tried:
-                continue
-            tried.add(cand)
-            if not _dual_partner_ok(first, cand, labels):
-                continue
-            sub = solve(rest[:idx] + rest[idx + 1 :])
-            if sub is not None:
-                return [(first, cand)] + sub
-        return None
 
-    result = solve(items)
-    if result is None:
-        raise ValueError(
-            f"blocks cannot be grouped into contragredient pairs (near {items[0]})"
-        )
-    return result
+def _greedy_pairs(cls: list[JordanBlock]) -> list[JordanBlock]:
+    """The lesser block of each pair when a class of untwisted non-self-dual
+    blocks pairs as a first-fit search over the sorted blocks would: the least
+    remaining label with one holding half of what remains, if any, else with
+    the next least. Until a label holds half, the labels after that next one
+    are untouched; from then on it pairs with every other block. O(n)."""
+    count = Counter(blk.rho for blk in cls)
+    block_of = {blk.rho: blk for blk in cls}
+    rhos = list(count)
+    # most[j]: (blocks, label) of a label holding the most blocks in rhos[j:]
+    most = [*accumulate(((count[rho], rho) for rho in reversed(rhos)), max)][::-1] + [(0, "")]
+    reps, i, j = [], 0, 1
+    for left in range(len(cls), 0, -2):
+        held, heavy = most[j + 1]
+        if 2 * held == left:
+            return reps + [block_of[min(rho, heavy)] for rho in count.elements() if rho != heavy]
+        reps.append(block_of[rhos[i]])
+        count.subtract((rhos[i], rhos[j]))
+        if not count[rhos[j]]:
+            j += 1
+        if not count[rhos[i]]:
+            i, j = j, j + 1
+    return reps
 
 
 @dataclass(frozen=True)
@@ -209,21 +215,15 @@ def decompose(
     """
     bp: list[JordanBlock] = []
     rest: list[JordanBlock] = []
-    for blk in psi.blocks:
-        if blk.twist == 0 and good_parity(blk, psi.group, labels):
-            bp.append(blk)
-        else:
-            rest.append(blk)
-
     mp_half: list[JordanBlock] = []
     nu_pos: list[JordanBlock] = []
-    for one, other in _pair_up(rest, labels):
-        if one.twist == 0:
-            rep = min(one, other, key=_block_sort_key)
-            mp_half.append(rep)
+    for blk in psi.blocks:
+        (bp if good_parity(blk, psi.group, labels) else rest).append(blk)
+    for cls in _pairing_classes(rest, labels):
+        if cls[0].twist:
+            nu_pos += [blk for blk in cls if blk.twist > 0]
         else:
-            rep = one if one.twist > 0 else other
-            nu_pos.append(rep)
+            mp_half += cls[::2] if labels[cls[0].rho].self_dual else _greedy_pairs(cls)
 
     return Decomposition(
         bp=tuple(sorted(bp, key=_block_sort_key)),
@@ -251,7 +251,7 @@ def validate_parameter(
             continue
         total += labels[blk.rho].dim * blk.dim_multiplier()
         try:
-            is_bp = blk.twist == 0 and good_parity(blk, psi.group, labels)
+            is_bp = good_parity(blk, psi.group, labels)
         except ValueError as exc:
             violations.append(Violation("InsufficientDeclaration", str(exc)))
             classifiable = False
@@ -259,17 +259,16 @@ def validate_parameter(
         if not is_bp:
             rest.append(blk)
 
-    if classifiable and total != psi.group.rank_dim:
-        violations.append(
-            Violation(
-                "DimensionMismatch",
-                f"blocks sum to dimension {total}, group requires {psi.group.rank_dim}",
-            )
-        )
-
     if classifiable:
+        if total != psi.group.rank_dim:
+            violations.append(
+                Violation(
+                    "DimensionMismatch",
+                    f"blocks sum to dimension {total}, group requires {psi.group.rank_dim}",
+                )
+            )
         try:
-            _pair_up(rest, labels)
+            _pairing_classes(rest, labels)
         except ValueError as exc:
             violations.append(Violation("UnpairedBlock", str(exc)))
 

@@ -29,7 +29,7 @@ from apackets.core_types import (
     Parity,
     Violation,
 )
-from apackets.jordan import ArthurParameter, JordanBlock
+from apackets.jordan import ArthurParameter, Decomposition, JordanBlock, good_parity
 from apackets.lfactors import pole_contribution_table
 from apackets.packets import PSI_SIDE, TargetTriple, locate_pivot
 
@@ -125,6 +125,72 @@ def closed_form_count(sizes, epsilon: int) -> int:
     diff = prod(sign_excess(a, b) for a, b in sizes)
     assert (total + epsilon * diff) % 2 == 0
     return (total + epsilon * diff) // 2
+
+
+# --- exhaustive-search oracle for contragredient pairing -----------------------
+
+
+def _sort_key(block: JordanBlock) -> tuple:
+    return (block.rho, block.a, block.b, block.twist)
+
+
+def _dual_partner_ok(one: JordanBlock, other: JordanBlock, labels) -> bool:
+    """Whether ``other`` can be the contragredient partner of ``one``."""
+    if (one.a, one.b) != (other.a, other.b):
+        return False
+    if one.twist + other.twist != 0:
+        return False
+    l1, l2 = labels[one.rho], labels[other.rho]
+    if l1.self_dual:
+        return other.rho == one.rho
+    return (not l2.self_dual) and l2.id != l1.id and l2.dim == l1.dim
+
+
+def pair_up_by_search(blocks, labels) -> list[tuple[JordanBlock, JordanBlock]]:
+    """Group blocks into contragredient pairs, or raise ValueError.
+
+    Deterministic backtracking over the sorted multiset; partner candidates
+    are tried in sorted order. Exponential on unpairable inputs, so keep it
+    to about ten blocks.
+    """
+    items = sorted(blocks, key=_sort_key)
+
+    def solve(remaining):
+        if not remaining:
+            return []
+        first, rest = remaining[0], remaining[1:]
+        tried = set()
+        for idx, cand in enumerate(rest):
+            if cand in tried:
+                continue
+            tried.add(cand)
+            if not _dual_partner_ok(first, cand, labels):
+                continue
+            sub = solve(rest[:idx] + rest[idx + 1 :])
+            if sub is not None:
+                return [(first, cand)] + sub
+        return None
+
+    result = solve(items)
+    if result is None:
+        raise ValueError("blocks cannot be grouped into contragredient pairs")
+    return result
+
+
+def decompose_by_search(psi: ArthurParameter, labels) -> Decomposition:
+    """``decompose`` with the pairs found by ``pair_up_by_search``: the lesser
+    block represents an untwisted pair, the positive-twist block a twisted one."""
+    bp = [b for b in psi.blocks if good_parity(b, psi.group, labels)]
+    rest = [b for b in psi.blocks if not good_parity(b, psi.group, labels)]
+    mp_half, nu_pos = [], []
+    for one, other in pair_up_by_search(rest, labels):
+        if one.twist == 0:
+            mp_half.append(min(one, other, key=_sort_key))
+        else:
+            nu_pos.append(one if one.twist > 0 else other)
+    return Decomposition(
+        *(tuple(sorted(part, key=_sort_key)) for part in (bp, mp_half, nu_pos))
+    )
 
 
 # --- brute-force oracles for the Jacquet normal form --------------------------

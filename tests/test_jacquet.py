@@ -16,7 +16,6 @@ from apackets.jacquet import (
     JacSequence,
     Segment,
     irreducible_cuspidal_twist,
-    jac_commutes,
     jac_nonvanishing_necessary,
     jac_normal_form,
 )
@@ -37,15 +36,6 @@ def test_segment_mixed_class_raises():
 
 
 # --- commutation and normal form --------------------------------------------------
-
-
-def test_jac_commutes():
-    # Doubled exponents: 3 and 1 commute, 2 and 1 do not.
-    assert jac_commutes(6, 2) is True
-    assert jac_commutes(4, 2) is False
-    assert jac_commutes(5, 1) is True
-    assert jac_commutes(2, 2) is False
-    assert jac_commutes(0, 1) is False  # gap 1/2
 
 
 def test_jac_normal_form_examples():

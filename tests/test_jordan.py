@@ -1,6 +1,7 @@
 """Blocks, quadruple coordinates, parity classification, decomposition,
 and structural parameter validation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from apackets.jordan import (
 )
 from _helpers import (
     blk,
+    decompose_by_search,
+    label,
     so_odd,
     soodd_param,
     sp,
@@ -199,6 +202,113 @@ def test_decompose_unpairable_raises():
     psi2 = soodd_param([blk("r", 1, 1)])  # lone bad-parity block
     with pytest.raises(ValueError):
         decompose(psi2, LABELS)
+
+
+def test_decompose_undeclared_twisted_label_is_a_value_error():
+    psi = ArthurParameter(
+        so_odd(4), (JordanBlock("nope", 2, 1, Fraction(1, 4)), JordanBlock("nope", 2, 1, Fraction(-1, 4)))
+    )
+    with pytest.raises(ValueError, match="unknown label: 'nope'"):
+        decompose(psi, LABELS)
+
+
+# Self-dual labels (bad parity at (1,1) and (2,2) for SOodd) and two families of
+# non-self-dual labels, so classes hold several labels.
+PAIRING_LABELS = {
+    "r": label("r"),
+    "rs": label("rs", dim=2, parity="symplectic"),
+    **{f"n{i}": label(f"n{i}", dim=2, self_dual=False, parity=None) for i in range(5)},
+    **{f"m{i}": label(f"m{i}", dim=1, self_dual=False, parity=None) for i in range(3)},
+}
+_TWISTS = (0, 0, 0, Fraction(1, 4), Fraction(-1, 4), Fraction(1, 3), Fraction(-1, 3))
+
+
+def _random_partner(rng: random.Random, b: JordanBlock) -> JordanBlock:
+    lab = PAIRING_LABELS[b.rho]
+    if lab.self_dual:
+        return JordanBlock(b.rho, b.a, b.b, -b.twist)
+    others = [o.id for o in PAIRING_LABELS.values() if not o.self_dual and o.dim == lab.dim and o.id != b.rho]
+    return JordanBlock(rng.choice(others), b.a, b.b, -b.twist)
+
+
+def _random_pairing_parameter(rng: random.Random) -> ArthurParameter:
+    mode = rng.randrange(3)
+    if mode < 2:
+        # Mixed labels, sizes and twists; in mode 1 each block gets a partner.
+        blocks = [
+            JordanBlock(rng.choice(list(PAIRING_LABELS)), rng.randint(1, 2), rng.randint(1, 2), rng.choice(_TWISTS))
+            for _ in range(rng.randint(0, 10 // (mode + 1)))
+        ]
+        if mode == 1:
+            blocks += [_random_partner(rng, b) for b in blocks]
+            rng.shuffle(blocks)
+    else:
+        # One (a, b) on a few non-self-dual labels: large classes, often with a
+        # label holding half of the class.
+        k = rng.randint(1, 5)
+        blocks = [
+            JordanBlock(f"n{rng.randrange(k)}", 1, 1, rng.choice((0, 0, Fraction(1, 4), Fraction(-1, 4))))
+            for _ in range(rng.randint(0, 10))
+        ]
+    dim = sum(PAIRING_LABELS[b.rho].dim * b.a * b.b for b in blocks)
+    return ArthurParameter(so_odd(max(dim, 1) + rng.choice((0, 0, 1))), tuple(blocks))
+
+
+def test_decompose_and_validate_match_search_oracle():
+    rng = random.Random(2009)
+    pairable = 0
+    for _ in range(4000):
+        psi = _random_pairing_parameter(rng)
+        try:
+            expected = decompose_by_search(psi, PAIRING_LABELS)
+        except ValueError:
+            expected = None
+            with pytest.raises(ValueError, match="contragredient pairs"):
+                decompose(psi, PAIRING_LABELS)
+        else:
+            pairable += 1
+            assert decompose(psi, PAIRING_LABELS) == expected, psi.blocks
+        codes = [v.code for v in validate_parameter(psi, PAIRING_LABELS)]
+        dim = sum(PAIRING_LABELS[b.rho].dim * b.a * b.b for b in psi.blocks)
+        assert codes == ["DimensionMismatch"] * (dim != psi.group.rank_dim) + [
+            "UnpairedBlock"
+        ] * (expected is None), psi.blocks
+    assert 1000 < pairable < 3000
+
+
+def _distinct_labels_parameter(count: int):
+    labels = {f"d{i:02}": label(f"d{i:02}", dim=2, self_dual=False, parity=None) for i in range(count)}
+    blocks = tuple(blk(lid, 2, 1) for lid in labels)
+    return ArthurParameter(so_odd(4 * count), blocks), labels
+
+
+def test_forty_distinct_labels_pair_up():
+    psi, labels = _distinct_labels_parameter(40)
+    assert validate_parameter(psi, labels) == []
+    # Greedy pairing of singletons: each label with the next one.
+    assert decompose(psi, labels).mp_half == tuple(blk(f"d{i:02}", 2, 1) for i in range(0, 40, 2))
+
+
+def test_forty_one_distinct_labels_do_not_pair_up():
+    # An odd set of distinct labels: a search over the matchings takes
+    # exponential time here.
+    psi, labels = _distinct_labels_parameter(41)
+    vs = validate_parameter(psi, labels)
+    assert [(v.code, v.message) for v in vs] == [
+        ("UnpairedBlock", "blocks cannot be grouped into contragredient pairs (near (d00,2,1))")
+    ]
+    with pytest.raises(ValueError, match="contragredient pairs"):
+        decompose(psi, labels)
+
+
+def test_unpaired_block_names_the_class_that_fails():
+    # The (r,1,1) copies pair with each other; the odd set of w labels does not.
+    labels = {"r": label("r"), **{f"w{i}": label(f"w{i}", self_dual=False, parity=None) for i in range(3)}}
+    blocks = (blk("r", 1, 1), blk("r", 1, 1), blk("r", 2, 1)) + tuple(blk(f"w{i}", 2, 3) for i in range(3))
+    vs = validate_parameter(ArthurParameter(so_odd(22), blocks), labels)
+    assert [(v.code, v.message) for v in vs] == [
+        ("UnpairedBlock", "blocks cannot be grouped into contragredient pairs (near (w0,2,3))")
+    ]
 
 
 @given(
