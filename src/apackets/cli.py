@@ -13,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .archimedean import ArchBlock, combined_inf_char, inf_char, is_regular, normalization_order
@@ -30,7 +31,7 @@ from .core_types import (
 )
 from .eisenstein import GlobalJord, eisenstein_verdict, residue_verdict
 from .jacquet import JacSequence, Segment, jac_nonvanishing_necessary, jac_normal_form, irreducible_cuspidal_twist
-from .jordan import ArthurParameter, JordanBlock, validate_parameter
+from .jordan import ZERO_TWIST, ArthurParameter, JordanBlock, validate_parameter
 from .lfactors import r_order
 from .packets import (
     PSI_PLUS_SIDE,
@@ -298,7 +299,10 @@ _LFACTS = _Table(
 )
 _BLOCK = _Table(
     lambda got, ctx: JordanBlock(
-        got["rho"], got["a"], got["b"], Fraction(got["twist_num"], got["twist_den"])
+        got["rho"],
+        got["a"],
+        got["b"],
+        Fraction(got["twist_num"], got["twist_den"]) if got["twist_num"] else ZERO_TWIST,
     ),
     ("rho", _label_id, _REQUIRED),
     ("a", _size, _REQUIRED),
@@ -353,6 +357,8 @@ def parse_workspace(text: str | bytes) -> Workspace:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkspaceError("", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise WorkspaceError("", "invalid JSON: nesting too deep") from None
     return _ROOT(data, None)
 
 
@@ -416,7 +422,72 @@ def serialize_workspace(ws: Workspace) -> str:
         doc["global"].append(
             {"name": name, "pairs": [{"rho": r, "b": b} for r, b in jord.pairs]}
         )
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return canonical_json(doc)
+
+
+# Per depth, a line break with that depth's indent, alone and after a comma;
+# shared by every document written, so an item appends them and its own text
+# and no string is built per item.
+_BREAKS = [("\n", ",\n")]
+
+
+def _breaks(depth: int) -> tuple[str, str]:
+    if depth == len(_BREAKS):
+        _BREAKS.append(tuple(s + "  " for s in _BREAKS[-1]))
+    return _BREAKS[depth]
+
+
+def _write(value: Any, depth: int, out: list[str]) -> None:
+    # The types and their order are those of json.encoder: a str or int
+    # subclass is written as its base type, and a tuple as a list.
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep, comma = _breaks(depth + 1)
+        out.append("[")
+        for item in value:
+            out.append(sep)
+            _write(item, depth + 1, out)
+            sep = comma
+        out.append(_BREAKS[depth][0])
+        out.append("]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep, comma = _breaks(depth + 1)
+        out.append("{")
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value[key], depth + 1, out)
+            sep = comma
+        out.append(_BREAKS[depth][0])
+        out.append("}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def canonical_json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` plus a newline, for
+    the values a report holds: str-keyed dicts, lists, tuples, str, int,
+    bool and None. Anything else, floats included, raises TypeError."""
+    out: list[str] = []
+    _write(value, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -791,14 +862,21 @@ _HANDLERS = {
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(canonical_json(payload))
+
+
+# Built by the first run(), not at import: an import that answers no query
+# pays nothing for it. parse_args keeps no state between calls.
+_parser: argparse.ArgumentParser | None = None
 
 
 def run(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the exit code (0 / 2 / 64)."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -59,25 +59,28 @@ def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
     return (big, small) if zeta == PLUS else (small, big)
 
 
-_HALF = Fraction(1, 2)
+ZERO_TWIST = Fraction(0)  # the twist of every untwisted block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JordanBlock:
     """One factor rho |det|^x x sp(a) x sp(b); twist x is an exact rational."""
 
     rho: str
     a: int
     b: int
-    twist: Fraction = Fraction(0)
+    twist: Fraction = ZERO_TWIST
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 1:
             raise ValueError(f"block sizes must be >= 1, got ({self.a}, {self.b})")
-        if not isinstance(self.twist, Fraction):
-            object.__setattr__(self, "twist", Fraction(self.twist))
-        if abs(self.twist) >= _HALF:
-            raise ValueError(f"twist must satisfy |x| < 1/2, got {self.twist}")
+        twist = self.twist
+        if type(twist) is not Fraction:
+            twist = Fraction(twist)
+            object.__setattr__(self, "twist", twist)
+        # |x| < 1/2 on the reduced numerator and (positive) denominator.
+        if 2 * abs(twist.numerator) >= twist.denominator:
+            raise ValueError(f"twist must satisfy |x| < 1/2, got {twist}")
 
     def quadruple(self) -> Quadruple:
         return to_quadruple(self.a, self.b)

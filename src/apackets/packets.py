@@ -122,7 +122,10 @@ def admissible_pairs(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
+_SIGNS = frozenset((PLUS, MINUS))
+
+
+@dataclass(frozen=True, slots=True)
 class PacketParams:
     """Packet coordinates: one (t, eta) per block, aligned with the order."""
 
@@ -130,14 +133,23 @@ class PacketParams:
     eta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", tuple(self.t))
-        object.__setattr__(self, "eta", tuple(self.eta))
+        if type(self.t) is not tuple:
+            object.__setattr__(self, "t", tuple(self.t))
+        if type(self.eta) is not tuple:
+            object.__setattr__(self, "eta", tuple(self.eta))
         if len(self.t) != len(self.eta):
             raise ValueError(
                 f"t and eta lengths differ: {len(self.t)} vs {len(self.eta)}"
             )
-        for e in self.eta:
-            check_sign(e)
+        # One pass in C for the common case; check_sign names the first bad
+        # entry. A bool equals a sign in a set, and a list cannot be hashed.
+        try:
+            signs = _SIGNS.issuperset(self.eta) and bool not in map(type, self.eta)
+        except TypeError:
+            signs = False
+        if not signs:
+            for e in self.eta:
+                check_sign(e)
 
     def __len__(self) -> int:
         return len(self.t)

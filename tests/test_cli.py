@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apackets import cli
 from apackets.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     WorkspaceError,
+    build_parser,
+    canonical_json,
     parse_workspace,
     run,
     serialize_workspace,
@@ -937,3 +941,132 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
     assert first.endswith("\n")
     assert json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n" == first
+
+
+# --- one parser per process -----------------------------------------------------------
+
+_W = ("-w", "tests/data/demo_workspace.json")
+_MIXED_ARGVS = [case["argv"] for case in GOLDEN] + [
+    [],
+    ["no-such-command"],
+    ["validate", "--help"],
+    ["packet", *_W],
+    ["packet", *_W, "--param", "P", "--count", "--list"],
+    ["order", *_W, "--param", "P", "--rho", "r", "--a0", "x", "--b0", "3", "--validate"],
+    ["jac", "--normal-form"],
+    ["jac", "--normal-form", "--exponents"],
+    ["infchar", *_W, "--arch", "AI", "--a-tau", "1"],
+    ["eisenstein", *_W, "--global", "G1", "--rho", "r", "--s0", "2", "--local", "x"],
+    ["arch-order", *_W, "--arch", "AR", "--a-tau", "2", "--s0", "1"],
+    ["arch-order", *_W, "--arch", "AR", "--a-tau", "2", "--a-tau", "3", "--a-tau", "1",
+     "--s0", "1"],
+    ["eisenstein", *_W, "--global", "G1", "--rho", "r", "--s0", "2", "--local", "t",
+     "--local", "u", "--residue"],
+    ["eisenstein", *_W, "--global", "G1", "--rho", "r", "--s0", "2", "--residue"],
+    ["irreducible", *_W, "--param", "P", "--rho", "r", "--x", "-5/2"],
+    ["jac", "--normal-form", "--rho", "r", "--exponents", "-1,2"],
+    ["jac", "--nonvanishing", *_W, "--param", "P", "--rho", "r", "--from", "3/2",
+     "--to", "-7/2"],
+    ["pole-order", *_W, "--param", "P", "--rho", "r", "--a0", "-4", "--s0", "-1"],
+    ["validate", *_W, "--param", "nope"],
+]
+
+
+def test_one_process_answers_as_a_fresh_process_per_query(capsys, monkeypatch):
+    """The parser built by the first query serves every later one: each
+    answer (exit code, stdout and stderr) equals that of a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    fresh = []
+    for argv in _MIXED_ARGVS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apackets.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert {code for code, _, _ in fresh} == {EXIT_OK, EXIT_FAIL, EXIT_USAGE}
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_parser", None)
+    for _ in range(2):
+        assert [_run(capsys, *argv) for argv in _MIXED_ARGVS] == fresh
+
+
+def test_run_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for _ in range(3):
+        assert _run(capsys, "jac", "--normal-form", "--exponents=1,2")[0] == EXIT_OK
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+        "import apackets.cli\n"
+        "assert apackets.cli._parser is None and not built, built\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+# --- the canonical writer ---------------------------------------------------------------
+
+_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()))
+_SCALARS = (
+    _TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_canonical_json_matches_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\x00\x1f\"\\/é \U0001f600\ud800", [[], {}, (), [[]], {"": {}}], (1, (2,)),
+     {"b": 1, "a": [True, False, None], "\U0001f600": -(2**70)}],
+    ids=["escapes", "empty-containers", "nested-tuples", "mixed"],
+)
+def test_canonical_json_edge_values(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, 1.5, {"k": [0, 0.0]}],
+    ids=["fraction", "set", "float", "nested-float"],
+)
+def test_canonical_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def test_deep_nesting_is_a_workspace_error(capsys, monkeypatch):
+    depth = 100_000  # past the decoder's recursion limit on every supported version
+    text = "[" * depth + "]" * depth
+    with pytest.raises(WorkspaceError) as excinfo:
+        parse_workspace(text)
+    assert (excinfo.value.pointer, excinfo.value.message) == ("", "invalid JSON: nesting too deep")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, payload = _run_json(capsys, "validate", "-w", "-")
+    assert (code, payload) == (EXIT_FAIL, {"error": "/: invalid JSON: nesting too deep"})

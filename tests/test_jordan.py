@@ -2,6 +2,7 @@
 and structural parameter validation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,21 @@ def test_block_twist_coercion_and_bounds():
         JordanBlock("r", 1, 1, Fraction(-3, 4))
     with pytest.raises(ValueError):
         JordanBlock("r", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "twist, ok",
+    [(Fraction(49, 100), True), (Fraction(-49, 100), True), ("-1/3", True), (0, True),
+     (Fraction(-1, 2), False), ("1/2", False), (1, False), (Fraction(-7, 3), False)],
+)
+def test_block_twist_bound_is_strict_on_both_sides(twist, ok):
+    if ok:
+        block = JordanBlock("r", 1, 1, twist)
+        assert type(block.twist) is Fraction and block.twist == Fraction(twist)
+    else:
+        message = f"twist must satisfy |x| < 1/2, got {Fraction(twist)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JordanBlock("r", 1, 1, twist)
 
 
 def test_block_dim_multiplier():

@@ -3,6 +3,7 @@ canonical order construction."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,19 @@ def test_packet_params_validation():
         PacketParams((0,), (PLUS, MINUS))
     with pytest.raises(ValueError):
         PacketParams((0,), (0,))
+
+
+@pytest.mark.parametrize("bad", [0, 2, True, False, "+", [1], None])
+def test_packet_params_names_the_first_bad_sign(bad):
+    # True equals PLUS and a list cannot be hashed; both are still no sign.
+    with pytest.raises(ValueError, match=re.escape(f"not a sign (+1/-1): {bad!r}")):
+        PacketParams((0, 0, 0), (PLUS, bad, MINUS))
+
+
+def test_packet_params_coerces_sequences_to_tuples():
+    p = PacketParams([0, 1], [PLUS, MINUS])
+    assert (p.t, p.eta) == ((0, 1), (PLUS, MINUS))
+    assert p == PacketParams(range(2), iter((PLUS, MINUS)))
 
 
 # --- enumeration -----------------------------------------------------------------
