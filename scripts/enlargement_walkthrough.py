@@ -91,9 +91,9 @@ def main() -> None:
 
     insert = None
     if prime is None:
-        # Fresh block goes where the canonical order would place it.
-        A0 = target.quadruple().A_x2
-        insert = sum(1 for blk in ordered if blk.quadruple().A_x2 < A0)
+        # The fresh block goes where the enlarged side's canonical order puts it.
+        plus_order = canonical_order(psi_plus.blocks, target, PSI_PLUS_SIDE)
+        insert = locate_pivot(plus_order, target, PSI_PLUS_SIDE)
     new_order, new_params = apply_transfer(ordered, params, target, insert_position=insert)
     print(f"\ntransported order: {fmt_blocks(new_order)}")
     print(f"transported coordinates: t = {list(new_params.t)}, "

@@ -592,13 +592,12 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
     check_target_parity(target, ws.group, ws.labels)
-    side = PSI_PLUS_SIDE if args.side == "psi_plus" else PSI_SIDE
     if args.validate:
-        violations = validate_order(entry.ordered(), target, side)
+        violations = validate_order(entry.ordered(), target, args.side)
         return (EXIT_FAIL if violations else EXIT_OK), {
             "violations": _violation_docs(violations)
         }
-    co = canonical_order(entry.parameter.blocks, target, side)
+    co = canonical_order(entry.parameter.blocks, target, args.side)
     # Equal blocks take their original indices in ascending order.
     positions: dict[JordanBlock, list[int]] = {}
     for k, blk in enumerate(entry.parameter.blocks):
@@ -629,13 +628,14 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     if entry.params is None:
         raise ValueError(f"parameter {args.param!r} declares no packet coordinates (t/eta)")
     psi_plus = build_psi_plus(entry.parameter, target, ws.labels)
+    ordered = entry.ordered()
     new_order, new_params = apply_transfer(
-        entry.ordered(), entry.params, target, insert_position=args.insert_position
+        ordered, entry.params, target, insert_position=args.insert_position
     )
-    if target.b0 == 2:
+    # The position apply_transfer wrote; the order itself is not validated.
+    pivot_pos = locate_pivot(ordered, target, PSI_SIDE)
+    if pivot_pos is None:  # b0 = 2: the fresh block's place
         pivot_pos = args.insert_position
-    else:
-        pivot_pos = locate_pivot(new_order, target, PSI_PLUS_SIDE)
     return EXIT_OK, {
         "psi_plus": {
             "m_star": psi_plus.group.rank_dim,
@@ -777,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sub.add_mutually_exclusive_group(required=True)
     mode.add_argument("--validate", action="store_true")
     mode.add_argument("--canonical", action="store_true")
-    sub.add_argument("--side", choices=["psi", "psi_plus"], default="psi")
+    sub.add_argument("--side", choices=[PSI_SIDE, PSI_PLUS_SIDE], default=PSI_SIDE)
 
     sub = subs.add_parser("pole-order", help="pole order of the normalization factor")
     _add_workspace_arg(sub)

@@ -8,7 +8,7 @@ import heapq
 from dataclasses import dataclass
 
 from .core_types import HalfInt
-from .jordan import ArthurParameter
+from .jordan import ArthurParameter, untwisted_quadruples
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,13 +91,7 @@ def jac_nonvanishing_necessary(
     B <= (largest A reached) + 1, so one pass over the blocks sorted by B
     finds the largest reachable A. O(n log n).
     """
-    quads = []
-    for blk in psi.blocks:
-        if blk.rho != rho:
-            continue
-        if blk.twist != 0:
-            raise ValueError(f"twisted block {blk} in chain search (decompose first)")
-        quads.append(blk.quadruple())
+    quads = list(untwisted_quadruples(psi, rho, "in chain search (decompose first)"))
 
     x = seg.start.doubled
     reach = max((q.A_x2 for q in quads if q.zeta * q.B_x2 == x), default=None)
@@ -128,13 +122,7 @@ def irreducible_cuspidal_twist(
     abs_x = abs(x.doubled)
     if abs_x == 0:
         raise ValueError("x must be nonzero")
-    for blk in psi.blocks:
-        if blk.rho != rho:
-            continue
-        if blk.twist != 0:
-            raise ValueError(f"twisted block {blk} in irreducibility check")
-        q = blk.quadruple()
-        if q.A_x2 < abs_x - 2 or q.B_x2 > abs_x:
-            continue
-        return IrredVerdict.UNKNOWN
+    for q in untwisted_quadruples(psi, rho, "in irreducibility check"):
+        if q.A_x2 >= abs_x - 2 and q.B_x2 <= abs_x:
+            return IrredVerdict.UNKNOWN
     return IrredVerdict.IRREDUCIBLE

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core_types import (
     MINUS,
@@ -17,7 +17,6 @@ from .core_types import (
     HalfInt,
     Violation,
     check_sign,
-    sign_str,
 )
 
 
@@ -32,9 +31,6 @@ class Quadruple:
 
     def __post_init__(self) -> None:
         check_sign(self.zeta)
-
-    def __str__(self) -> str:
-        return f"(A={HalfInt(self.A_x2)}, B={HalfInt(self.B_x2)}, zeta={sign_str(self.zeta)})"
 
 
 def to_quadruple(a: int, b: int) -> Quadruple:
@@ -117,6 +113,17 @@ class ArthurParameter:
                 raise ValueError(f"unknown label: {blk.rho!r}")
             total += labels[blk.rho].dim * blk.dim_multiplier()
         return total
+
+
+def untwisted_quadruples(psi: ArthurParameter, rho: str, where: str) -> Iterator[Quadruple]:
+    """The quadruples of the label's blocks, lazily and in order; a twisted one
+    raises, naming the block and ``where`` it was passed (decompose first)."""
+    for blk in psi.blocks:
+        if blk.rho != rho:
+            continue
+        if blk.twist != 0:
+            raise ValueError(f"twisted block {blk} {where}")
+        yield blk.quadruple()
 
 
 def good_parity(
@@ -242,7 +249,6 @@ def validate_parameter(
     good-parity part. Returns violations instead of raising."""
     violations: list[Violation] = []
 
-    total = 0
     rest: list[JordanBlock] = []
     classifiable = True
     for blk in psi.blocks:
@@ -252,7 +258,6 @@ def validate_parameter(
             )
             classifiable = False
             continue
-        total += labels[blk.rho].dim * blk.dim_multiplier()
         try:
             is_bp = good_parity(blk, psi.group, labels)
         except ValueError as exc:
@@ -263,6 +268,7 @@ def validate_parameter(
             rest.append(blk)
 
     if classifiable:
+        total = psi.standard_dim(labels)
         if total != psi.group.rank_dim:
             violations.append(
                 Violation(

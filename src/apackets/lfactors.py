@@ -9,7 +9,7 @@ acceptance suite checks this exhaustively).
 from __future__ import annotations
 
 from .core_types import MINUS, PLUS, HalfInt
-from .jordan import ArthurParameter, Quadruple, to_quadruple
+from .jordan import ArthurParameter, Quadruple, to_quadruple, untwisted_quadruples
 
 
 def pole_contribution_interval(a: int, b: int, a0: int, b0: int) -> int:
@@ -61,11 +61,5 @@ def r_order(psi: ArthurParameter, rho: str, a0: int, s0: HalfInt) -> int:
     if b0 < 2:
         raise ValueError(f"s0 must be positive, got {s0}")
     target = to_quadruple(a0, b0)
-    order = 0
-    for blk in psi.blocks:
-        if blk.rho != rho:
-            continue
-        if blk.twist != 0:
-            raise ValueError(f"twisted block {blk} passed to pole-order sum")
-        order -= pole_contribution_table(blk.quadruple(), target)
-    return order
+    quads = untwisted_quadruples(psi, rho, "passed to pole-order sum")
+    return -sum(pole_contribution_table(q, target) for q in quads)

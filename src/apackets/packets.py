@@ -154,16 +154,18 @@ class PacketParams:
     def __len__(self) -> int:
         return len(self.t)
 
+    def check_covers(self, blocks: Sequence[JordanBlock]) -> None:
+        """Raise unless there is one (t, eta) per block of the order."""
+        if len(self) != len(blocks):
+            raise ValueError(f"params cover {len(self)} blocks, order has {len(blocks)}")
+
 
 def validate_params(
     blocks: Sequence[JordanBlock], params: PacketParams, epsilon: int
 ) -> list[Violation]:
     """Check the per-block range condition and the total sign condition."""
     check_sign(epsilon)
-    if len(params) != len(blocks):
-        raise ValueError(
-            f"params cover {len(params)} blocks, order has {len(blocks)}"
-        )
+    params.check_covers(blocks)
     violations: list[Violation] = []
     product = PLUS
     for pos, (blk, t, eta) in enumerate(zip(blocks, params.t, params.eta)):
@@ -304,6 +306,25 @@ def _monotonicity_violations(
     ]
 
 
+# The limit conditions of a normal target (b0 > 2, b0 != a0 + 1) on a block of
+# its label and zeta, in report order: code, target zeta (None: both), test on
+# (q, tq, pq), the side of the pivot the block must sit on, what the block has.
+_LIMITS = (
+    ("Limit1", None, lambda q, tq, pq: q.A_x2 == tq.A_x2 and q.B_x2 > pq.B_x2,
+     "above", "A = A0 and B > B'0"),
+    ("Limit2", None, lambda q, tq, pq: q.A_x2 == pq.A_x2 and q.B_x2 < tq.B_x2,
+     "below", "A = A'0 and B < B0"),
+    ("Limit3", PLUS, lambda q, tq, pq: q.B_x2 == tq.B_x2 and q.A_x2 < pq.A_x2,
+     "below", "B = B0 and A < A'0"),
+    ("Limit3", MINUS, lambda q, tq, pq: q.B_x2 == tq.B_x2 and q.A_x2 >= tq.A_x2,
+     "above", "B = B0 and A >= A0"),
+    ("Limit4", PLUS, lambda q, tq, pq: q.B_x2 == pq.B_x2 and q.A_x2 > tq.A_x2,
+     "above", "B = B'0 and A > A0"),
+    ("Limit4", MINUS, lambda q, tq, pq: q.B_x2 == pq.B_x2 and q.A_x2 < tq.A_x2,
+     "below", "B = B'0 and A < A0"),
+)
+
+
 def validate_order(
     blocks: Sequence[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
 ) -> list[Violation]:
@@ -329,14 +350,13 @@ def validate_order(
     ]
 
     if pivot is not None:
-        for i in contributors:
-            if i < pivot:
-                violations.append(
-                    Violation(
-                        "Pp1",
-                        f"pole-contributing block at position {i} sits below the pivot at {pivot}",
-                    )
+        for i in contributors[: bisect.bisect_left(contributors, pivot)]:
+            violations.append(
+                Violation(
+                    "Pp1",
+                    f"pole-contributing block at position {i} sits below the pivot at {pivot}",
                 )
+            )
 
     for i, q in relevant:
         if q.A_x2 >= tq.A_x2:
@@ -368,54 +388,15 @@ def validate_order(
                 )
 
     if target.b0 > 2 and not target.is_exceptional and pivot is not None:
-        assert pq is not None
+        limits = [row for row in _LIMITS if row[1] in (None, tq.zeta)]
         for i, q in relevant:
             if q.zeta != tq.zeta:
                 continue
-            if q.A_x2 == tq.A_x2 and q.B_x2 > pq.B_x2 and i < pivot:
-                violations.append(
-                    Violation(
-                        "Limit1",
-                        f"block at position {i} with A = A0 and B > B'0 must sit above the pivot",
-                    )
-                )
-            if q.A_x2 == pq.A_x2 and q.B_x2 < tq.B_x2 and i > pivot:
-                violations.append(
-                    Violation(
-                        "Limit2",
-                        f"block at position {i} with A = A'0 and B < B0 must sit below the pivot",
-                    )
-                )
-            if q.B_x2 == tq.B_x2:
-                if tq.zeta == PLUS and q.A_x2 < pq.A_x2 and i > pivot:
-                    violations.append(
-                        Violation(
-                            "Limit3",
-                            f"block at position {i} with B = B0 and A < A'0 must sit below the pivot",
-                        )
-                    )
-                if tq.zeta == MINUS and q.A_x2 >= tq.A_x2 and i < pivot:
-                    violations.append(
-                        Violation(
-                            "Limit3",
-                            f"block at position {i} with B = B0 and A >= A0 must sit above the pivot",
-                        )
-                    )
-            if q.B_x2 == pq.B_x2:
-                if tq.zeta == PLUS and q.A_x2 > tq.A_x2 and i < pivot:
-                    violations.append(
-                        Violation(
-                            "Limit4",
-                            f"block at position {i} with B = B'0 and A > A0 must sit above the pivot",
-                        )
-                    )
-                if tq.zeta == MINUS and q.A_x2 < tq.A_x2 and i > pivot:
-                    violations.append(
-                        Violation(
-                            "Limit4",
-                            f"block at position {i} with B = B'0 and A < A0 must sit below the pivot",
-                        )
-                    )
+            sits = "below" if i < pivot else "above"
+            for code, _, applies, required, has in limits:
+                if required != sits and applies(q, tq, pq):
+                    message = f"block at position {i} with {has} must sit {required} the pivot"
+                    violations.append(Violation(code, message))
 
     return violations
 

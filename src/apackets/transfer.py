@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .core_types import CuspidalLabel, GroupType, MINUS, PLUS
-from .jordan import ArthurParameter, JordanBlock, good_parity
+from .jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
 from .packets import (
     PSI_SIDE,
     PacketParams,
@@ -67,36 +67,27 @@ def build_psi_plus(
 def transfer_params(t0: int, eta0: int, a0: int, b0: int) -> tuple[int, int]:
     """Packet coordinates of the enlarged block from those of the shrunken one.
 
-    For b0 = 2 the inputs are ignored (the shrunken block does not exist;
-    the defaults t0 = 0, eta0 = + apply). The sign is canonicalized to +
+    For b0 = 2 the inputs are ignored: the rule runs at the one pair of the
+    empty shrunken block, t0 = 0 and eta0 = +. The sign is canonicalized to +
     whenever 2t reaches min(a0, b0), where the two signs name one member.
     """
     if a0 < 1 or b0 < 2:
         raise ValueError(f"need a0 >= 1 and b0 >= 2, got ({a0}, {b0})")
     if b0 == 2:
-        zeta0 = PLUS if a0 >= b0 else MINUS
-        t_plus = 1 if zeta0 == PLUS else 0
-        eta_plus = PLUS
-    else:
-        detail = check_constraint1(a0, b0 - 2, t0, eta0)
-        if detail is not None:
-            raise ValueError(detail)
-        if b0 == a0 + 1:
-            # Exceptional corner: the shrunken block has zeta' = +, the
-            # enlarged one zeta = -, both with B = 1/2.
-            m_small = b0 - 2
-            if 2 * t0 == m_small:
-                # Top of the range: (t0, +) and (t0, -) name the same member;
-                # the eta0 = - row applies.
-                t_plus, eta_plus = t0, PLUS
-            elif eta0 == PLUS:
-                t_plus, eta_plus = t0 + 1, MINUS
-            else:
-                t_plus, eta_plus = t0, PLUS
+        t0, eta0 = 0, PLUS
+    detail = check_constraint1(a0, b0 - 2, t0, eta0)
+    if detail is not None:
+        raise ValueError(detail)
+    if b0 == a0 + 1:
+        # Exceptional corner: the shrunken block has zeta' = +, the enlarged
+        # one zeta = -, both with B = 1/2. At the top of the range (t0, +)
+        # and (t0, -) name the same member, and the eta0 = - row applies.
+        if eta0 == PLUS and 2 * t0 < b0 - 2:
+            t_plus, eta_plus = t0 + 1, MINUS
         else:
-            zeta0 = PLUS if a0 >= b0 else MINUS
-            t_plus = t0 + 1 if zeta0 == PLUS else t0
-            eta_plus = eta0
+            t_plus, eta_plus = t0, PLUS
+    else:
+        t_plus, eta_plus = t0 + (1 if to_quadruple(a0, b0).zeta == PLUS else 0), eta0
     if 2 * t_plus == min(a0, b0):
         eta_plus = PLUS
     return t_plus, eta_plus
@@ -105,12 +96,11 @@ def transfer_params(t0: int, eta0: int, a0: int, b0: int) -> tuple[int, int]:
 def check_sign_identity(a0: int, b0: int, t0: int, eta0: int) -> bool:
     """Whether the block's sign-product factor is preserved by enlargement.
 
-    The shrunken side contributes +1 when b0 = 2 (no block).
+    The shrunken side contributes +1 when b0 = 2 (the empty block at (0, +)).
     """
     if b0 == 2:
-        left = PLUS
-    else:
-        left = block_sign(a0, b0 - 2, t0, eta0)
+        t0, eta0 = 0, PLUS
+    left = block_sign(a0, b0 - 2, t0, eta0)
     t_plus, eta_plus = transfer_params(t0, eta0, a0, b0)
     right = block_sign(a0, b0, t_plus, eta_plus)
     return left == right
@@ -130,10 +120,7 @@ def apply_transfer(
     fresh block and its coordinates go (otherwise this raises), and it is
     ignored for b0 > 2.
     """
-    if len(params) != len(blocks):
-        raise ValueError(
-            f"params cover {len(params)} blocks, order has {len(blocks)}"
-        )
+    params.check_covers(blocks)
     order, t_list, eta_list = list(blocks), list(params.t), list(params.eta)
     if target.b0 == 2:
         if insert_position is None:

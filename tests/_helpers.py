@@ -31,7 +31,7 @@ from apackets.core_types import (
 )
 from apackets.jordan import ArthurParameter, Decomposition, JordanBlock, good_parity
 from apackets.lfactors import pole_contribution_table
-from apackets.packets import PSI_SIDE, TargetTriple, locate_pivot
+from apackets.packets import PSI_SIDE, TargetTriple, check_constraint1, locate_pivot
 
 
 def h(n: int) -> HalfInt:
@@ -250,6 +250,39 @@ def respects_commutation_order(word, result) -> bool:
             return False
         last[d] = i
     return True
+
+
+# --- case-by-case oracle for packet-coordinate transport ------------------------
+
+
+def transfer_params_by_cases(t0: int, eta0: int, a0: int, b0: int) -> tuple[int, int]:
+    """The transport of (t, eta) written as separate cases: the fresh block
+    (b0 = 2) with its own rule, and three rows at the exceptional corner."""
+    if a0 < 1 or b0 < 2:
+        raise ValueError(f"need a0 >= 1 and b0 >= 2, got ({a0}, {b0})")
+    if b0 == 2:
+        zeta0 = PLUS if a0 >= b0 else MINUS
+        t_plus = 1 if zeta0 == PLUS else 0
+        eta_plus = PLUS
+    else:
+        detail = check_constraint1(a0, b0 - 2, t0, eta0)
+        if detail is not None:
+            raise ValueError(detail)
+        if b0 == a0 + 1:
+            m_small = b0 - 2
+            if 2 * t0 == m_small:
+                t_plus, eta_plus = t0, PLUS
+            elif eta0 == PLUS:
+                t_plus, eta_plus = t0 + 1, MINUS
+            else:
+                t_plus, eta_plus = t0, PLUS
+        else:
+            zeta0 = PLUS if a0 >= b0 else MINUS
+            t_plus = t0 + 1 if zeta0 == PLUS else t0
+            eta_plus = eta0
+    if 2 * t_plus == min(a0, b0):
+        eta_plus = PLUS
+    return t_plus, eta_plus
 
 
 # --- brute-force oracle for order validation -----------------------------------

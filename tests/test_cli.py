@@ -693,6 +693,26 @@ def test_transfer_full_record(capsys):
     assert payload["pivot"] == {"position": 2, "t": 1, "eta": "+"}
 
 
+def test_transfer_pivot_names_the_block_it_wrote(capsys, tmp_path):
+    # A copy of the enlarged block (r,4,3) sits below the pivot (r,4,1): the
+    # order fails order --validate, and transfer, which does not validate,
+    # still reports the position it transported.
+    doc = json.loads(DEMO.read_text())
+    entry = next(p for p in doc["parameters"] if p["name"] == "P")
+    entry.update(order=[3, 1, 2, 0], t=[0, 0, 0, 0], eta=["+"] * 4)
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    target = ("--param", "P", "--rho", "r", "--a0", "4", "--b0", "3")
+    code, payload = _run_json(capsys, "order", "-w", str(ws), *target, "--validate")
+    assert code == EXIT_FAIL
+    assert {v["code"] for v in payload["violations"]} == {"Pp1", "Pp2"}
+    code, payload = _run_json(capsys, "transfer", "-w", str(ws), *target)
+    assert code == EXIT_OK
+    assert [(b["a"], b["b"]) for b in payload["order"]] == [(4, 3), (2, 1), (2, 3), (4, 3)]
+    assert payload["t"] == [0, 0, 0, 1]
+    assert payload["pivot"] == {"position": 3, "t": 1, "eta": "+"}
+
+
 def test_transfer_without_coordinates_is_an_error(capsys):
     code, payload = _run_json(
         capsys,

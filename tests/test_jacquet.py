@@ -106,8 +106,9 @@ def test_chain_condition_rejects_twisted_blocks():
     psi = ArthurParameter(
         sp(8), (JordanBlock("r", 2, 2, Fraction(1, 4)),)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(1)))
+    assert str(err.value) == "twisted block (r,2,2;x=1/4) in chain search (decompose first)"
 
 
 # --- irreducibility ----------------------------------------------------------------
@@ -134,6 +135,23 @@ def test_irreducible_cuspidal_twist_matches_fraction_oracle():
         want = A < abs(x) - 1 or B > abs(x)
         got = irreducible_cuspidal_twist(sp_param([blk("r", a, b)]), "r", h2(int(2 * x)))
         assert (got is IrredVerdict.IRREDUCIBLE) == want, (a, b, x)
+
+
+def test_irreducible_cuspidal_twist_rejects_twisted_blocks():
+    twisted = JordanBlock("r", 2, 2, Fraction(1, 4))
+    psi = ArthurParameter(sp(8), (blk("r", 5, 1), twisted))  # (r,5,1) does not decide
+    with pytest.raises(ValueError) as err:
+        irreducible_cuspidal_twist(psi, "r", h(1))
+    assert str(err.value) == "twisted block (r,2,2;x=1/4) in irreducibility check"
+    # A twisted block of another label is not read.
+    psi = ArthurParameter(sp(8), (JordanBlock("rs", 2, 2, Fraction(1, 4)), blk("r", 5, 1)))
+    assert irreducible_cuspidal_twist(psi, "r", h(1)) is IrredVerdict.IRREDUCIBLE
+
+
+def test_irreducible_cuspidal_twist_stops_at_the_deciding_block():
+    # (r,2,2) decides UNKNOWN at x = 1; the twisted block after it is never read.
+    psi = ArthurParameter(sp(8), (blk("r", 2, 2), JordanBlock("r", 2, 2, Fraction(1, 4))))
+    assert irreducible_cuspidal_twist(psi, "r", h(1)) is IrredVerdict.UNKNOWN
 
 
 def test_irreducible_cuspidal_twist_zero_raises():

@@ -110,8 +110,9 @@ def test_r_order_rejects_twisted_blocks():
     from apackets.jordan import JordanBlock
 
     psi = soodd_param([JordanBlock("r", 2, 4, Fraction(1, 4))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         r_order(psi, "r", 4, h2(1))
+    assert str(err.value) == "twisted block (r,2,4;x=1/4) passed to pole-order sum"
 
 
 def test_r_order_zero_when_s0_not_half_integral_size():

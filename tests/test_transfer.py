@@ -30,7 +30,15 @@ from apackets.transfer import (
     transfer_params,
 )
 
-from _helpers import blk, label, sp, sp_param, soodd_param, standard_labels
+from _helpers import (
+    blk,
+    label,
+    soodd_param,
+    sp,
+    sp_param,
+    standard_labels,
+    transfer_params_by_cases,
+)
 
 LABELS = standard_labels()
 
@@ -87,6 +95,42 @@ def test_transfer_params_output_is_admissible_and_injective():
             for t_plus, eta_plus in images:
                 assert check_constraint1(a0, b0, t_plus, eta_plus) is None
             assert len(set(images)) == len(images)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_transfer_params_matches_case_oracle():
+    # Every admissible (t0, eta0), and for b0 = 2 the inputs it ignores,
+    # inadmissible ones included; out-of-range inputs must fail alike.
+    for a0 in range(1, 12):
+        for b0 in range(2, 14):
+            m = min(a0, b0 - 2)
+            pairs = [
+                (t0, eta0)
+                for t0 in range(m // 2 + 1)
+                for eta0 in (PLUS, MINUS)
+                if not (2 * t0 == m and eta0 == MINUS)
+            ]
+            if b0 == 2:
+                pairs += [(t0, eta0) for t0 in (-1, 1, 2, 99) for eta0 in (PLUS, MINUS)]
+                pairs.append((0, MINUS))
+            else:
+                pairs += [(-1, PLUS), (m // 2 + 1, PLUS)]
+                if m % 2 == 0:
+                    pairs.append((m // 2, MINUS))
+            for t0, eta0 in pairs:
+                args = (t0, eta0, a0, b0)
+                got = _outcome(transfer_params, *args)
+                assert got == _outcome(transfer_params_by_cases, *args), args
+                if b0 > 2 and check_constraint1(a0, b0 - 2, t0, eta0) is None:
+                    assert isinstance(got, tuple), args
+    for args in [(0, PLUS, 0, 3), (0, PLUS, 3, 1), (0, PLUS, 0, 2)]:
+        assert _outcome(transfer_params, *args) == _outcome(transfer_params_by_cases, *args)
 
 
 def test_check_sign_identity_examples():
