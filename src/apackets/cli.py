@@ -87,6 +87,8 @@ def _typed(kind: type, name: str):
     # JSON values only, so an exact type test: a bool is not an integer.
     def convert(value: Any, ctx: dict | None = None) -> Any:
         if type(value) is not kind:
+            if type(value) is _LongInt:
+                raise WorkspaceError("", f"integer of {value} digits is too long")
             raise WorkspaceError("", f"expected {name}, got {type(value).__name__}")
         return value
 
@@ -354,12 +356,28 @@ def parse_workspace(text: str | bytes) -> Workspace:
     """Parse and validate a workspace document; schema problems raise a
     WorkspaceError carrying the JSON-pointer path of the offending value."""
     try:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer literal longer than int() accepts
+            data = json.loads(text, parse_int=_LongInt)
     except json.JSONDecodeError as exc:
         raise WorkspaceError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise WorkspaceError("", "invalid JSON: nesting too deep") from None
     return _ROOT(data, None)
+
+
+class _LongInt(int):
+    """parse_int once json.loads has raised: a literal too long for int()
+    becomes its digit count, of a type that no schema field takes."""
+
+    def __new__(cls, text: str) -> Any:
+        try:
+            return int(text)
+        except ValueError:
+            return super().__new__(cls, len(text.lstrip("-")))
 
 
 def _block_doc(blk: JordanBlock) -> dict:
@@ -881,13 +899,13 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _HANDLERS[args.command](args)
+        _emit(payload)  # an int too long for str() raises before writing
     except UsageError as exc:
         sys.stderr.write(f"apackets {args.command}: error: {exc}\n")
         return EXIT_USAGE
     except (WorkspaceError, ValueError, OSError) as exc:
         _emit({"error": str(exc)})
         return EXIT_FAIL
-    _emit(payload)
     return code
 
 

@@ -1,12 +1,11 @@
 """Jordan blocks, quadruple coordinates, parity bookkeeping, and the
-decomposition of a parameter into good / bad-parity / nonunitary parts."""
+good-parity part Jord_bp of a parameter."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .core_types import (
@@ -154,9 +153,9 @@ def _block_sort_key(block: JordanBlock) -> tuple:
 
 def _pairing_classes(
     blocks: Sequence[JordanBlock], labels: Mapping[str, CuspidalLabel]
-) -> list[list[JordanBlock]]:
-    """The blocks, sorted, in the classes that contragredient partners share;
-    raises naming the least block of the first class that cannot pair up.
+) -> None:
+    """Raise, naming the least block of the first class that cannot pair up,
+    unless the blocks group into contragredient pairs; partners share a class.
 
     Partners have equal (a, b) and opposite twists; a self-dual label pairs
     only with itself, any other with a distinct non-self-dual label of equal
@@ -176,70 +175,22 @@ def _pairing_classes(
             heaviest > half and not labels[cls[0].rho].self_dual
         ):
             raise ValueError(f"blocks cannot be grouped into contragredient pairs (near {cls[0]})")
-    return list(classes.values())
-
-
-def _greedy_pairs(cls: list[JordanBlock]) -> list[JordanBlock]:
-    """The lesser block of each pair when a class of untwisted non-self-dual
-    blocks pairs as a first-fit search over the sorted blocks would: the least
-    remaining label with one holding half of what remains, if any, else with
-    the next least. Until a label holds half, the labels after that next one
-    are untouched; from then on it pairs with every other block. O(n)."""
-    count = Counter(blk.rho for blk in cls)
-    block_of = {blk.rho: blk for blk in cls}
-    rhos = list(count)
-    # most[j]: (blocks, label) of a label holding the most blocks in rhos[j:]
-    most = [*accumulate(((count[rho], rho) for rho in reversed(rhos)), max)][::-1] + [(0, "")]
-    reps, i, j = [], 0, 1
-    for left in range(len(cls), 0, -2):
-        held, heavy = most[j + 1]
-        if 2 * held == left:
-            return reps + [block_of[min(rho, heavy)] for rho in count.elements() if rho != heavy]
-        reps.append(block_of[rhos[i]])
-        count.subtract((rhos[i], rhos[j]))
-        if not count[rhos[j]]:
-            j += 1
-        if not count[rhos[i]]:
-            i, j = j, j + 1
-    return reps
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Parts of a parameter: good-parity blocks, one representative per dual
-    pair of bad-parity unitary blocks, and the positive-twist representatives
-    of the nonunitary pairs."""
-
-    bp: tuple[JordanBlock, ...]
-    mp_half: tuple[JordanBlock, ...]
-    nu_pos: tuple[JordanBlock, ...]
 
 
 def decompose(
     psi: ArthurParameter, labels: Mapping[str, CuspidalLabel]
-) -> Decomposition:
-    """Split a parameter into its good-parity / bad-parity / nonunitary parts.
+) -> tuple[JordanBlock, ...]:
+    """Jord_bp: the good-parity blocks, in the order the parameter lists them.
 
-    Raises if any block outside the good-parity part cannot be matched with
-    a contragredient partner of the opposite twist.
+    Raises if any other block cannot be matched with a contragredient
+    partner of the opposite twist.
     """
     bp: list[JordanBlock] = []
     rest: list[JordanBlock] = []
-    mp_half: list[JordanBlock] = []
-    nu_pos: list[JordanBlock] = []
     for blk in psi.blocks:
         (bp if good_parity(blk, psi.group, labels) else rest).append(blk)
-    for cls in _pairing_classes(rest, labels):
-        if cls[0].twist:
-            nu_pos += [blk for blk in cls if blk.twist > 0]
-        else:
-            mp_half += cls[::2] if labels[cls[0].rho].self_dual else _greedy_pairs(cls)
-
-    return Decomposition(
-        bp=tuple(sorted(bp, key=_block_sort_key)),
-        mp_half=tuple(sorted(mp_half, key=_block_sort_key)),
-        nu_pos=tuple(sorted(nu_pos, key=_block_sort_key)),
-    )
+    _pairing_classes(rest, labels)
+    return tuple(bp)
 
 
 def validate_parameter(

@@ -185,26 +185,18 @@ def validate_params(
     return violations
 
 
-def _signed_pairs(blk: JordanBlock) -> tuple[tuple[int, int, int], ...]:
-    """The block's admissible (t, eta), each with its block sign."""
-    return tuple(
-        (t, eta, _raw_sign(blk.a, blk.b, t, eta)) for t, eta in admissible_pairs(blk.a, blk.b)
-    )
-
-
 def count_params(blocks: Sequence[JordanBlock], epsilon: int) -> int:
-    """How many packet parameters pass both conditions, without listing them.
-
-    A two-state sign DP: (plus, minus) counts the choices on the blocks seen
-    so far whose sign product is + or -. O(sum of min(a, b)) exact int work.
-    """
+    """How many packet parameters pass both conditions, without listing them:
+    (prod(m + 1) + epsilon * prod(excess)) / 2 over the blocks, m = min(a, b),
+    since a block's m + 1 admissible (t, eta) have signs summing to its
+    excess, 0 for odd m and (-1)^(m/2) for even m. O(1) int ops per block."""
     check_sign(epsilon)
-    plus, minus = 1, 0
+    total = excess = 1
     for blk in blocks:
-        signs = [s for _, _, s in _signed_pairs(blk)]
-        b_plus, b_minus = signs.count(PLUS), signs.count(MINUS)
-        plus, minus = plus * b_plus + minus * b_minus, plus * b_minus + minus * b_plus
-    return plus if epsilon == PLUS else minus
+        m = min(blk.a, blk.b)
+        total *= m + 1
+        excess *= 0 if m % 2 else MINUS if m % 4 == 2 else PLUS
+    return (total + epsilon * excess) // 2
 
 
 def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[PacketParams, ...]:
@@ -218,7 +210,11 @@ def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[Packe
     check_sign(epsilon)
     if not blocks:
         return (PacketParams((), ()),) if epsilon == PLUS else ()
-    *head, last = [_signed_pairs(blk) for blk in blocks]
+    # Each block's admissible (t, eta), each with its block sign.
+    *head, last = [
+        [(t, eta, _raw_sign(blk.a, blk.b, t, eta)) for t, eta in admissible_pairs(blk.a, blk.b)]
+        for blk in blocks
+    ]
     # completing[s]: the last block's choices that make the product epsilon
     # after a head whose sign product is s.
     completing = {

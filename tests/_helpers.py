@@ -29,9 +29,16 @@ from apackets.core_types import (
     Parity,
     Violation,
 )
-from apackets.jordan import ArthurParameter, Decomposition, JordanBlock, good_parity
+from apackets.jordan import ArthurParameter, JordanBlock, good_parity
 from apackets.lfactors import pole_contribution_table
-from apackets.packets import PSI_SIDE, TargetTriple, check_constraint1, locate_pivot
+from apackets.packets import (
+    PSI_SIDE,
+    TargetTriple,
+    admissible_pairs,
+    block_sign,
+    check_constraint1,
+    locate_pivot,
+)
 
 
 def h(n: int) -> HalfInt:
@@ -127,6 +134,18 @@ def closed_form_count(sizes, epsilon: int) -> int:
     return (total + epsilon * diff) // 2
 
 
+def sign_dp_count(sizes, epsilon: int) -> int:
+    """Packet size for sign ``epsilon`` by a two-state DP over the blocks:
+    (plus, minus) counts the choices so far whose sign product is + or -.
+    O(sum of min(a, b)) work, from each block's admissible pairs."""
+    plus, minus = 1, 0
+    for a, b in sizes:
+        signs = [block_sign(a, b, t, eta) for t, eta in admissible_pairs(a, b)]
+        b_plus, b_minus = signs.count(PLUS), signs.count(MINUS)
+        plus, minus = plus * b_plus + minus * b_minus, plus * b_minus + minus * b_plus
+    return plus if epsilon == PLUS else minus
+
+
 # --- exhaustive-search oracle for contragredient pairing -----------------------
 
 
@@ -177,20 +196,11 @@ def pair_up_by_search(blocks, labels) -> list[tuple[JordanBlock, JordanBlock]]:
     return result
 
 
-def decompose_by_search(psi: ArthurParameter, labels) -> Decomposition:
-    """``decompose`` with the pairs found by ``pair_up_by_search``: the lesser
-    block represents an untwisted pair, the positive-twist block a twisted one."""
-    bp = [b for b in psi.blocks if good_parity(b, psi.group, labels)]
-    rest = [b for b in psi.blocks if not good_parity(b, psi.group, labels)]
-    mp_half, nu_pos = [], []
-    for one, other in pair_up_by_search(rest, labels):
-        if one.twist == 0:
-            mp_half.append(min(one, other, key=_sort_key))
-        else:
-            nu_pos.append(one if one.twist > 0 else other)
-    return Decomposition(
-        *(tuple(sorted(part, key=_sort_key)) for part in (bp, mp_half, nu_pos))
-    )
+def decompose_by_search(psi: ArthurParameter, labels) -> tuple[JordanBlock, ...]:
+    """``decompose`` with its verdict from ``pair_up_by_search``: the
+    good-parity blocks in the parameter's order, or ValueError."""
+    pair_up_by_search([b for b in psi.blocks if not good_parity(b, psi.group, labels)], labels)
+    return tuple(b for b in psi.blocks if good_parity(b, psi.group, labels))
 
 
 # --- brute-force oracles for the Jacquet normal form --------------------------

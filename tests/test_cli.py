@@ -221,6 +221,12 @@ def test_global_label_must_be_self_dual():
 
 _DROP = object()
 
+
+class _Digits(str):
+    """An integer literal spliced into the edited text as it stands, since
+    json.dumps cannot write an int this long."""
+
+
 # One document per schema check: the demo workspace with one edit (pointer,
 # new value; _DROP deletes the key, "-" appends), and the (pointer, message)
 # of the error; None for an edit the schema accepts.
@@ -295,6 +301,8 @@ _SCHEMA_FAULTS = [
     ("/parameters/0/jord/0/b", None, "/parameters/0/jord/0/b",
      "expected an integer, got NoneType"),
     ("/parameters/0/jord/0/b", -1, "/parameters/0/jord/0/b", "expected a positive size, got -1"),
+    ("/parameters/0/jord/0/b", _Digits("9" * 4301), "/parameters/0/jord/0/b",
+     "integer of 4301 digits is too long"),
     ("/parameters/0/jord/0/twist_num", -7, "/parameters/0/jord/0",
      "twist must satisfy |x| < 1/2, got -7"),
     ("/parameters/0/order", "0", "/parameters/0/order", "expected an array, got str"),
@@ -348,6 +356,12 @@ _SCHEMA_FAULTS = [
 ]
 
 
+def _value_id(value):
+    if value is _DROP:
+        return "drop"
+    return f"{len(value)} digits" if isinstance(value, _Digits) else json.dumps(value)
+
+
 def _edited_demo(pointer, value):
     doc = json.loads(DEMO.read_text())
     if not pointer:
@@ -363,13 +377,14 @@ def _edited_demo(pointer, value):
         del parent[last]
     else:
         parent[last] = value
-    return json.dumps(doc)
+    text = json.dumps(doc)
+    return text.replace(json.dumps(value), value) if isinstance(value, _Digits) else text
 
 
 @pytest.mark.parametrize(
     "edit, value, pointer, message",
     _SCHEMA_FAULTS,
-    ids=[f"{e}={'drop' if v is _DROP else json.dumps(v)}" for e, v, _, _ in _SCHEMA_FAULTS],
+    ids=[f"{e}={_value_id(v)}" for e, v, _, _ in _SCHEMA_FAULTS],
 )
 def test_schema_fault_pointer_and_message(edit, value, pointer, message):
     text = _edited_demo(edit, value)
@@ -525,7 +540,7 @@ def test_packet_list(capsys):
 
 @pytest.mark.parametrize("epsilon", [1, -1])
 def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
-    # About 2.5 * 10^22 choices: the count must come from the sign DP, not a search.
+    # About 2.5 * 10^22 choices: the count must come from the closed form, not a search.
     sizes = [(1 + k % 7, 1 + (3 * k) % 8) for k in range(40)]
     ws = tmp_path / "ws.json"
     ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
@@ -535,6 +550,15 @@ def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
     )
     assert code == EXIT_OK
     assert payload == {"count": closed_form_count(sizes, epsilon), "epsilon": sign}
+
+
+def test_packet_count_too_long_to_write_exits_2(capsys, tmp_path):
+    # 1,000^1,500 members: 4,501 digits, more than str() writes by default.
+    ws = tmp_path / "ws.json"
+    ws.write_text(_param_doc([{"rho": "r", "a": 1000, "b": 999}] * 1500))
+    code, out, _ = _run(capsys, "packet", "-w", str(ws), "--param", "P", "--count")
+    assert code == EXIT_FAIL
+    assert "4300 digits" in json.loads(out)["error"]
 
 
 def test_jac_normal_form_twenty_thousand_letters(capsys):

@@ -171,11 +171,9 @@ def test_good_parity_for_dim1_orthogonal_label(a, b):
 
 
 def test_decompose_all_good_parity():
-    psi = soodd_param([blk("r", 2, 1), blk("r", 4, 1)])
-    dec = decompose(psi, LABELS)
-    assert set(dec.bp) == {blk("r", 2, 1), blk("r", 4, 1)}
-    assert dec.mp_half == ()
-    assert dec.nu_pos == ()
+    # Jord_bp comes back in the parameter's order, not sorted.
+    psi = soodd_param([blk("r", 4, 1), blk("r", 2, 1)])
+    assert decompose(psi, LABELS) == (blk("r", 4, 1), blk("r", 2, 1))
 
 
 def test_decompose_twisted_pair_distinct_labels():
@@ -185,10 +183,7 @@ def test_decompose_twisted_pair_distinct_labels():
             JordanBlock("v", 2, 1, Fraction(-1, 4)),
         ]
     )
-    dec = decompose(psi, LABELS)
-    assert dec.bp == ()
-    assert dec.mp_half == ()
-    assert dec.nu_pos == (JordanBlock("u", 2, 1, Fraction(1, 4)),)
+    assert decompose(psi, LABELS) == ()
 
 
 def test_decompose_twisted_pair_self_dual_label():
@@ -198,17 +193,13 @@ def test_decompose_twisted_pair_self_dual_label():
             JordanBlock("r", 2, 1, Fraction(-1, 4)),
         ]
     )
-    dec = decompose(psi, LABELS)
-    assert dec.nu_pos == (JordanBlock("r", 2, 1, Fraction(1, 4)),)
+    assert decompose(psi, LABELS) == ()
 
 
 def test_decompose_bad_parity_double_copy():
     # (r,1,1) has orthogonal product, wrong for SOodd: pairs with its copy.
-    psi = soodd_param([blk("r", 1, 1), blk("r", 1, 1)])
-    dec = decompose(psi, LABELS)
-    assert dec.bp == ()
-    assert dec.mp_half == (blk("r", 1, 1),)
-    assert dec.nu_pos == ()
+    psi = soodd_param([blk("r", 1, 1), blk("r", 2, 1), blk("r", 1, 1)])
+    assert decompose(psi, LABELS) == (blk("r", 2, 1),)
 
 
 def test_decompose_unpairable_raises():
@@ -301,8 +292,7 @@ def _distinct_labels_parameter(count: int):
 def test_forty_distinct_labels_pair_up():
     psi, labels = _distinct_labels_parameter(40)
     assert validate_parameter(psi, labels) == []
-    # Greedy pairing of singletons: each label with the next one.
-    assert decompose(psi, labels).mp_half == tuple(blk(f"d{i:02}", 2, 1) for i in range(0, 40, 2))
+    assert decompose(psi, labels) == ()
 
 
 def test_forty_one_distinct_labels_do_not_pair_up():
@@ -351,8 +341,8 @@ def test_decompose_partition_law(good_sizes, pair_sizes):
     if not blocks:
         blocks.append(blk("r", 2, 1))
     psi = soodd_param(blocks)
-    dec = decompose(psi, LABELS)
-    assert len(dec.bp) + 2 * len(dec.mp_half) + 2 * len(dec.nu_pos) == len(blocks)
+    # Jord_bp is the untwisted blocks; the constructed pairs are set aside.
+    assert decompose(psi, LABELS) == tuple(b for b in blocks if b.twist == 0)
 
 
 # --- structural validation ----------------------------------------------------------

@@ -28,7 +28,7 @@ from apackets.packets import (
     validate_order,
     validate_params,
 )
-from _helpers import blk, closed_form_count, validate_order_all_pairs
+from _helpers import blk, closed_form_count, sign_dp_count, validate_order_all_pairs
 
 # --- the range condition and block signs -------------------------------------
 
@@ -221,7 +221,7 @@ def test_enumerate_empty_block_list():
 )
 def test_count_matches_closed_form(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
-    assert count_params(blocks, epsilon) == closed_form_count(sizes, epsilon)
+    assert count_params(blocks, epsilon) == sign_dp_count(sizes, epsilon)
 
 
 @settings(max_examples=100)
@@ -234,6 +234,15 @@ def test_count_matches_enumeration(sizes, epsilon):
     count = count_params(tuple(blocks), epsilon)
     assert count == len(enumerate_params(blocks, epsilon))
     assert count == closed_form_count(sizes, epsilon)
+
+
+def test_count_params_of_a_huge_block_is_exact():
+    # m = 10^18 is divisible by 4: its 10^18 + 1 pairs hold one more + than -.
+    huge = blk("r", 10**18 + 1, 10**18)
+    assert count_params([huge], PLUS) == 5 * 10**17 + 1
+    assert count_params([huge], MINUS) == 5 * 10**17
+    # (r,2,2) has 3 pairs, one more - than +.
+    assert count_params([huge, blk("r", 2, 2)], PLUS) == (3 * (10**18 + 1) - 1) // 2
 
 
 def test_count_params_rejects_bad_sign():

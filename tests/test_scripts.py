@@ -1,4 +1,5 @@
-"""The bundled scripts run to completion and print their closing line."""
+"""The bundled scripts run to completion and print their closing line, and
+the benchmark's tracer finds every name it patches."""
 
 import os
 import subprocess
@@ -11,20 +12,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def _run_script(name, *args):
+def _run_python(*args, path=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        p for p in (*path, str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.rstrip("\n").splitlines()[-1]
+    return proc.stdout
+
+
+def _run_script(name, *args):
+    return _run_python(str(SCRIPTS / name), *args).rstrip("\n").splitlines()[-1]
 
 
 def test_packet_survey():
@@ -47,3 +52,9 @@ def test_packet_survey():
 )
 def test_enlargement_walkthrough(args, last):
     assert _run_script("enlargement_walkthrough.py", *args) == last
+
+
+def test_tracer_installs():
+    # The tracer patches names where their callers bind them; a name deleted
+    # or moved from its module fails here, not only in perfbench/selfcheck.py.
+    _run_python("-c", "import tracer; tracer.install(tracer.Tracer())", path=[str(ROOT / "perfbench")])
