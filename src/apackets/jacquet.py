@@ -8,7 +8,7 @@ import heapq
 from dataclasses import dataclass
 
 from .core_types import HalfInt
-from .jordan import ArthurParameter, untwisted_quadruples
+from .jordan import ArthurParameter, untwisted_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,16 +91,16 @@ def jac_nonvanishing_necessary(
     B <= (largest A reached) + 1, so one pass over the blocks sorted by B
     finds the largest reachable A. O(n log n).
     """
-    quads = list(untwisted_quadruples(psi, rho, "in chain search (decompose first)"))
+    blocks = list(untwisted_blocks(psi, rho, "in chain search (decompose first)"))
 
     x = seg.start.doubled
-    reach = max((q.A_x2 for q in quads if q.zeta * q.B_x2 == x), default=None)
+    reach = max((blk.A_x2 for blk in blocks if blk.zeta * blk.B_x2 == x), default=None)
     if reach is None:
         return False
-    for q in sorted(quads, key=lambda q: q.B_x2):
-        if q.B_x2 > reach + 2:
+    for blk in sorted(blocks, key=lambda blk: blk.B_x2):
+        if blk.B_x2 > reach + 2:
             break
-        reach = max(reach, q.A_x2)
+        reach = max(reach, blk.A_x2)
     return reach >= abs(seg.stop.doubled)
 
 
@@ -122,7 +122,7 @@ def irreducible_cuspidal_twist(
     abs_x = abs(x.doubled)
     if abs_x == 0:
         raise ValueError("x must be nonzero")
-    for q in untwisted_quadruples(psi, rho, "in irreducibility check"):
-        if q.A_x2 >= abs_x - 2 and q.B_x2 <= abs_x:
+    for blk in untwisted_blocks(psi, rho, "in irreducibility check"):
+        if blk.A_x2 >= abs_x - 2 and blk.B_x2 <= abs_x:
             return IrredVerdict.UNKNOWN
     return IrredVerdict.IRREDUCIBLE

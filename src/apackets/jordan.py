@@ -4,7 +4,7 @@ good-parity part Jord_bp of a parameter."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -32,11 +32,16 @@ class Quadruple:
         check_sign(self.zeta)
 
 
-def to_quadruple(a: int, b: int) -> Quadruple:
-    """Quadruple coordinates of the block sizes (a, b); zeta=+ when a=b."""
+def _coordinates(a: int, b: int) -> tuple[int, int, int]:
+    """(A_x2, B_x2, zeta) of the block sizes (a, b); zeta=+ when a=b."""
     if a < 1 or b < 1:
         raise ValueError(f"block sizes must be >= 1, got ({a}, {b})")
-    return Quadruple(a + b - 2, abs(a - b), PLUS if a >= b else MINUS)
+    return a + b - 2, abs(a - b), PLUS if a >= b else MINUS
+
+
+def to_quadruple(a: int, b: int) -> Quadruple:
+    """Quadruple coordinates of the block sizes (a, b); zeta=+ when a=b."""
+    return Quadruple(*_coordinates(a, b))
 
 
 def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
@@ -55,30 +60,34 @@ def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
 
 
 ZERO_TWIST = Fraction(0)  # the twist of every untwisted block
+_setattr = object.__setattr__  # how a frozen block sets its own fields, bound once
 
 
 @dataclass(frozen=True, slots=True)
 class JordanBlock:
-    """One factor rho |det|^x x sp(a) x sp(b); twist x is an exact rational."""
+    """One factor rho |det|^x x sp(a) x sp(b); twist x is an exact rational.
+    A_x2, B_x2, zeta are to_quadruple(a, b)'s, set once, outside == and hash."""
 
     rho: str
     a: int
     b: int
     twist: Fraction = ZERO_TWIST
+    A_x2: int = field(init=False, repr=False, compare=False)
+    B_x2: int = field(init=False, repr=False, compare=False)
+    zeta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"block sizes must be >= 1, got ({self.a}, {self.b})")
+        A_x2, B_x2, zeta = _coordinates(self.a, self.b)
+        _setattr(self, "A_x2", A_x2)
+        _setattr(self, "B_x2", B_x2)
+        _setattr(self, "zeta", zeta)
         twist = self.twist
         if type(twist) is not Fraction:
             twist = Fraction(twist)
-            object.__setattr__(self, "twist", twist)
+            _setattr(self, "twist", twist)
         # |x| < 1/2 on the reduced numerator and (positive) denominator.
         if 2 * abs(twist.numerator) >= twist.denominator:
             raise ValueError(f"twist must satisfy |x| < 1/2, got {twist}")
-
-    def quadruple(self) -> Quadruple:
-        return to_quadruple(self.a, self.b)
 
     def dim_multiplier(self) -> int:
         """Contribution a*b to the standard dimension, per unit of dim(rho)."""
@@ -114,15 +123,15 @@ class ArthurParameter:
         return total
 
 
-def untwisted_quadruples(psi: ArthurParameter, rho: str, where: str) -> Iterator[Quadruple]:
-    """The quadruples of the label's blocks, lazily and in order; a twisted one
-    raises, naming the block and ``where`` it was passed (decompose first)."""
+def untwisted_blocks(psi: ArthurParameter, rho: str, where: str) -> Iterator[JordanBlock]:
+    """The label's blocks, lazily and in order; a twisted one raises, naming
+    the block and ``where`` it was passed (decompose first)."""
     for blk in psi.blocks:
         if blk.rho != rho:
             continue
         if blk.twist != 0:
             raise ValueError(f"twisted block {blk} {where}")
-        yield blk.quadruple()
+        yield blk
 
 
 def good_parity(

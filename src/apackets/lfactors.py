@@ -9,7 +9,7 @@ acceptance suite checks this exhaustively).
 from __future__ import annotations
 
 from .core_types import MINUS, PLUS, HalfInt
-from .jordan import ArthurParameter, Quadruple, to_quadruple, untwisted_quadruples
+from .jordan import ArthurParameter, JordanBlock, Quadruple, to_quadruple, untwisted_blocks
 
 
 def pole_contribution_interval(a: int, b: int, a0: int, b0: int) -> int:
@@ -27,8 +27,9 @@ def pole_contribution_interval(a: int, b: int, a0: int, b0: int) -> int:
     return int((val - lo) % 2 == 0 and lo <= val <= hi)
 
 
-def pole_contribution_table(block: Quadruple, target: Quadruple) -> int:
-    """Table route for the same pole criterion, over quadruple coordinates.
+def pole_contribution_table(block: Quadruple | JordanBlock, target: Quadruple | JordanBlock) -> int:
+    """Table route for the same pole criterion, over quadruple coordinates
+    (a block's own A_x2, B_x2 and zeta serve as well).
 
     Cases on (zeta, zeta0); blocks whose A differs from the target's A by a
     non-integer lie outside every shift progression and contribute 0.
@@ -61,5 +62,5 @@ def r_order(psi: ArthurParameter, rho: str, a0: int, s0: HalfInt) -> int:
     if b0 < 2:
         raise ValueError(f"s0 must be positive, got {s0}")
     target = to_quadruple(a0, b0)
-    quads = untwisted_quadruples(psi, rho, "passed to pole-order sum")
-    return -sum(pole_contribution_table(q, target) for q in quads)
+    blocks = untwisted_blocks(psi, rho, "passed to pole-order sum")
+    return -sum(pole_contribution_table(blk, target) for blk in blocks)

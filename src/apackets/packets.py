@@ -31,12 +31,6 @@ class TargetTriple:
         if self.b0 < 2:
             raise ValueError(f"b0 must be >= 2, got {self.b0}")
 
-    def quadruple(self) -> Quadruple:
-        return to_quadruple(self.a0, self.b0)
-
-    def prime_quadruple(self) -> Quadruple | None:
-        return derive_prime_block(self.a0, self.b0)
-
     def prime_block(self) -> JordanBlock | None:
         """The shrunken block (rho, a0, b0-2) present on the small side."""
         if self.b0 == 2:
@@ -254,9 +248,7 @@ def locate_pivot(
     return indices[-1]
 
 
-def _monotonicity_violations(
-    blocks: Sequence[JordanBlock], quads: Sequence[Quadruple]
-) -> list[Violation]:
+def _monotonicity_violations(blocks: Sequence[JordanBlock]) -> list[Violation]:
     """The P violations: a block sitting below a strictly smaller one (smaller
     A and smaller B) of the same label, twist and zeta; i ascending, then j.
 
@@ -266,11 +258,11 @@ def _monotonicity_violations(
     the later ones. O(n log n) plus one scan of its class per flagged block.
     """
     classes: dict[tuple, list[tuple[int, int, int]]] = {}
-    for i, (blk, q) in enumerate(zip(blocks, quads)):
+    for i, blk in enumerate(blocks):
         # The twist as its reduced numerator and denominator: hashing a
         # Fraction is slow.
-        key = (blk.rho, q.zeta, blk.twist.numerator, blk.twist.denominator)
-        classes.setdefault(key, []).append((i, q.A_x2, q.B_x2))
+        key = (blk.rho, blk.zeta, blk.twist.numerator, blk.twist.denominator)
+        classes.setdefault(key, []).append((i, blk.A_x2, blk.B_x2))
     pairs: list[tuple[int, int]] = []
     for members in classes.values():
         rank = {a: r for r, a in enumerate(sorted({a for _, a, _ in members}), 1)}
@@ -330,14 +322,13 @@ def validate_order(
     ``side`` says whether the list is the small side (contains the shrunken
     block when b0 > 2) or the enlarged side (contains the enlarged block).
     """
-    tq = target.quadruple()
-    pq = target.prime_quadruple()
+    # pq's A and B (all that _LIMITS reads) are derive_prime_block's.
+    tq, pq = target.plus_block(), target.prime_block()
     pivot = locate_pivot(blocks, target, side)
-    quads = [blk.quadruple() for blk in blocks]
-    violations = _monotonicity_violations(blocks, quads)
+    violations = _monotonicity_violations(blocks)
 
     relevant = [
-        (i, quads[i])
+        (i, blk)
         for i, blk in enumerate(blocks)
         if blk.rho == target.rho and blk.twist == 0 and i != pivot
     ]
@@ -398,36 +389,26 @@ def validate_order(
 
 
 def _canonical_key(block: JordanBlock) -> tuple:
-    q = block.quadruple()
-    return (q.A_x2, q.B_x2, 0 if q.zeta == MINUS else 1, block.rho, block.twist)
+    return (block.A_x2, block.B_x2, 0 if block.zeta == MINUS else 1, block.rho, block.twist)
 
 
 def canonical_order(
-    blocks: Iterable[JordanBlock], target: TargetTriple | None = None, side: str = PSI_SIDE
+    blocks: Iterable[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
 ) -> tuple[JordanBlock, ...]:
-    """Deterministic admissible order: A ascending with fixed tie-breaks,
-    the pivot placed by its A-threshold (minimal in the exceptional case).
-
-    With no target, this is just the plain sort.
-    """
-    pivot_block = None if target is None else target.pivot_block(side)
-    if pivot_block is None:  # no target, or small side with b0 = 2: nothing to place
-        return tuple(sorted(blocks, key=_canonical_key))
+    """Deterministic admissible order: A ascending with fixed tie-breaks, and
+    ``locate_pivot``'s copy of the pivot placed by its A-threshold (minimal in
+    the exceptional case); the plain sort when there is no pivot (b0 = 2)."""
     rest = list(blocks)
-    try:
-        rest.remove(pivot_block)
-    except ValueError:
-        raise ValueError(f"required block {pivot_block} absent from Jord") from None
+    pivot = locate_pivot(rest, target, side)
+    if pivot is None:
+        return tuple(sorted(rest, key=_canonical_key))
+    pivot_block = rest.pop(pivot)
     rest.sort(key=_canonical_key)
 
     if target.is_exceptional:
         pos = 0
-    elif side == PSI_SIDE:
-        pq = target.prime_quadruple()
-        assert pq is not None
-        pos = sum(1 for blk in rest if blk.quadruple().A_x2 <= pq.A_x2)
-    else:
-        tq = target.quadruple()
-        pos = sum(1 for blk in rest if blk.quadruple().A_x2 < tq.A_x2)
+    else:  # rest is sorted by A: above A <= A'0 on the small side, A < A0 on the enlarged
+        find = bisect.bisect_right if side == PSI_SIDE else bisect.bisect_left
+        pos = find(rest, pivot_block.A_x2, key=lambda blk: blk.A_x2)
     rest.insert(pos, pivot_block)
     return tuple(rest)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .core_types import CuspidalLabel, GroupType, MINUS, PLUS
-from .jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
+from .jordan import ArthurParameter, JordanBlock, good_parity
 from .packets import (
     PSI_SIDE,
     PacketParams,
@@ -86,8 +86,8 @@ def transfer_params(t0: int, eta0: int, a0: int, b0: int) -> tuple[int, int]:
             t_plus, eta_plus = t0 + 1, MINUS
         else:
             t_plus, eta_plus = t0, PLUS
-    else:
-        t_plus, eta_plus = t0 + (1 if to_quadruple(a0, b0).zeta == PLUS else 0), eta0
+    else:  # t grows by one exactly when the enlarged block has zeta = +, a0 >= b0
+        t_plus, eta_plus = t0 + (1 if a0 >= b0 else 0), eta0
     if 2 * t_plus == min(a0, b0):
         eta_plus = PLUS
     return t_plus, eta_plus

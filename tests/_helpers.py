@@ -29,7 +29,7 @@ from apackets.core_types import (
     Parity,
     Violation,
 )
-from apackets.jordan import ArthurParameter, JordanBlock, good_parity
+from apackets.jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
 from apackets.lfactors import pole_contribution_table
 from apackets.packets import (
     PSI_SIDE,
@@ -37,6 +37,7 @@ from apackets.packets import (
     admissible_pairs,
     block_sign,
     check_constraint1,
+    derive_prime_block,
     locate_pivot,
 )
 
@@ -301,10 +302,10 @@ def transfer_params_by_cases(t0: int, eta0: int, a0: int, b0: int) -> tuple[int,
 def validate_order_all_pairs(blocks, target: TargetTriple, side: str = PSI_SIDE) -> list[Violation]:
     """The admissible-order conditions checked the direct way: every pair of
     positions for the monotonicity (P) and Pp2 conditions."""
-    tq = target.quadruple()
-    pq = target.prime_quadruple()
+    tq = to_quadruple(target.a0, target.b0)
+    pq = derive_prime_block(target.a0, target.b0)
     pivot = locate_pivot(blocks, target, side)
-    quads = [b.quadruple() for b in blocks]
+    quads = [to_quadruple(b.a, b.b) for b in blocks]
     violations = []
 
     for i in range(len(blocks)):
@@ -415,3 +416,37 @@ def validate_order_all_pairs(blocks, target: TargetTriple, side: str = PSI_SIDE)
                     )
 
     return violations
+
+
+# --- the pivot copy found by list.remove: the former canonical_order ----------
+
+
+def _canonical_key_by_quadruple(block: JordanBlock) -> tuple:
+    q = to_quadruple(block.a, block.b)
+    return (q.A_x2, q.B_x2, 0 if q.zeta == MINUS else 1, block.rho, block.twist)
+
+
+def canonical_order_by_remove(blocks, target: TargetTriple, side: str = PSI_SIDE):
+    """canonical_order as it was before it asked locate_pivot for the pivot:
+    take out the first copy equal to the pivot block, sort the rest, and put
+    the copy back at the pivot's A-threshold. Coordinates come from
+    to_quadruple and derive_prime_block, not from the blocks' own fields."""
+    pivot_block = target.pivot_block(side)
+    if pivot_block is None:  # small side with b0 = 2: nothing to place
+        return tuple(sorted(blocks, key=_canonical_key_by_quadruple))
+    rest = list(blocks)
+    try:
+        rest.remove(pivot_block)
+    except ValueError:
+        raise ValueError(f"required block {pivot_block} absent from Jord") from None
+    rest.sort(key=_canonical_key_by_quadruple)
+    if target.is_exceptional:
+        pos = 0
+    elif side == PSI_SIDE:
+        pq = derive_prime_block(target.a0, target.b0)
+        pos = sum(1 for b in rest if to_quadruple(b.a, b.b).A_x2 <= pq.A_x2)
+    else:
+        tq = to_quadruple(target.a0, target.b0)
+        pos = sum(1 for b in rest if to_quadruple(b.a, b.b).A_x2 < tq.A_x2)
+    rest.insert(pos, pivot_block)
+    return tuple(rest)

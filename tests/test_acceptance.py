@@ -193,7 +193,7 @@ def test_criterion_5_chain_criterion_matches_exhaustive_search():
             for _ in range(rng.randint(1, 5))
         ]
         psi = ArthurParameter(GroupType(GroupKind.SP, 1), tuple(blocks))
-        quads = [b.quadruple() for b in blocks]
+        quads = [to_quadruple(b.a, b.b) for b in blocks]
         if rng.random() < 0.5:
             q = rng.choice(quads)
             start = q.B_x2 if q.zeta == PLUS else -q.B_x2

@@ -645,6 +645,40 @@ def test_order_canonical(capsys):
     assert [(b["a"], b["b"]) for b in payload["blocks"]] == [(2, 1), (2, 3), (4, 1), (4, 3)]
 
 
+@pytest.mark.parametrize(
+    "sizes, a0, b0, indices",
+    [
+        # Normal target (r,4,3): pivot (r,4,1), A'0 = 3/2; both copies end the order.
+        ([(4, 1), (2, 1), (4, 1), (2, 3)], 4, 3, [1, 3, 0, 2]),
+        # Exceptional target (r,3,4): pivot (r,3,2) goes first, its copy sorts.
+        ([(3, 2), (2, 1), (3, 2), (1, 2)], 3, 4, [0, 3, 1, 2]),
+    ],
+    ids=["normal", "exceptional"],
+)
+def test_order_canonical_indices_with_two_pivot_copies(capsys, tmp_path, sizes, a0, b0, indices):
+    ws = tmp_path / "ws.json"
+    ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
+    code, payload = _run_json(
+        capsys,
+        "order", "-w", str(ws), "--param", "P",
+        "--rho", "r", "--a0", str(a0), "--b0", str(b0), "--canonical",
+    )
+    assert code == EXIT_OK
+    assert payload["indices"] == indices
+
+
+@pytest.mark.parametrize("mode", ["--validate", "--canonical"])
+def test_order_missing_pivot_message(capsys, mode):
+    # Both modes find the pivot with locate_pivot and say so alike.
+    code, payload = _run_json(
+        capsys,
+        "order", "-w", str(DEMO), "--param", "P",
+        "--rho", "r", "--a0", "2", "--b0", "7", mode,
+    )
+    assert code == EXIT_FAIL
+    assert payload == {"error": "required block (r,2,5) absent from the order"}
+
+
 @st.composite
 def _repeated_pivot_orders(draw):
     """A target, a side, and a shuffled block list holding several copies of

@@ -1,6 +1,7 @@
 """Blocks, quadruple coordinates, parity classification, decomposition,
 and structural parameter validation."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -113,6 +114,27 @@ def test_block_twist_bound_is_strict_on_both_sides(twist, ok):
         message = f"twist must satisfy |x| < 1/2, got {Fraction(twist)}"
         with pytest.raises(ValueError, match=re.escape(message)):
             JordanBlock("r", 1, 1, twist)
+
+
+@pytest.mark.parametrize("twist", [Fraction(0), Fraction(1, 3), Fraction(-1, 4), "2/5"])
+def test_block_coordinates_match_to_quadruple(twist):
+    for a in range(1, 12):
+        for b in range(1, 12):
+            block = JordanBlock("r", a, b, twist)
+            q = to_quadruple(a, b)
+            assert (block.A_x2, block.B_x2, block.zeta) == (q.A_x2, q.B_x2, q.zeta), (a, b)
+
+
+def test_block_equality_hash_and_repr_ignore_coordinates():
+    compared = [f.name for f in dataclasses.fields(JordanBlock) if f.compare]
+    assert compared == ["rho", "a", "b", "twist"]
+    block = JordanBlock("r", 3, 4)
+    assert block == JordanBlock("r", 3, 4, Fraction(0)) == JordanBlock("r", 3, 4, "0")
+    assert hash(block) == hash(("r", 3, 4, Fraction(0)))
+    # Same A and B, other zeta; same coordinates, other label or twist.
+    assert block != JordanBlock("r", 4, 3)
+    assert block != JordanBlock("rs", 3, 4) and block != JordanBlock("r", 3, 4, Fraction(1, 3))
+    assert repr(block) == "JordanBlock(rho='r', a=3, b=4, twist=Fraction(0, 1))"
 
 
 def test_block_dim_multiplier():

@@ -28,7 +28,13 @@ from apackets.packets import (
     validate_order,
     validate_params,
 )
-from _helpers import blk, closed_form_count, sign_dp_count, validate_order_all_pairs
+from _helpers import (
+    blk,
+    canonical_order_by_remove,
+    closed_form_count,
+    sign_dp_count,
+    validate_order_all_pairs,
+)
 
 # --- the range condition and block signs -------------------------------------
 
@@ -283,7 +289,7 @@ def test_prime_block_coordinates_grid():
     for a0 in range(1, 13):
         for b0 in range(3, 13):
             t = TargetTriple("r", a0, b0)
-            tq, pq = t.quadruple(), t.prime_quadruple()
+            tq, pq = to_quadruple(t.a0, t.b0), derive_prime_block(t.a0, t.b0)
             assert pq.A_x2 == tq.A_x2 - 2
             if a0 == b0 - 1:
                 assert tq.B_x2 == 1 and pq.B_x2 == 1
@@ -429,16 +435,20 @@ def test_validate_order_psi_plus_side():
 # --- canonical order -------------------------------------------------------------------
 
 
+# A b0 = 2 target on the small side has no pivot: canonical_order is the plain sort.
+_NO_PIVOT = TargetTriple("r", 1, 2)
+
+
 def test_canonical_order_plain_sort():
     # (1,7) has A = 3; (3,1) has A = 1: ascending A.
-    out = canonical_order([blk("r", 1, 7), blk("r", 3, 1)])
+    out = canonical_order([blk("r", 1, 7), blk("r", 3, 1)], _NO_PIVOT, PSI_SIDE)
     assert out == (blk("r", 3, 1), blk("r", 1, 7))
 
 
 def test_canonical_order_duplicates_adjacent_and_deterministic():
     blocks = [blk("r", 2, 1), blk("r", 4, 1), blk("r", 2, 1)]
-    out1 = canonical_order(blocks)
-    out2 = canonical_order(list(blocks))
+    out1 = canonical_order(blocks, _NO_PIVOT, PSI_SIDE)
+    out2 = canonical_order(list(blocks), _NO_PIVOT, PSI_SIDE)
     assert out1 == out2
     assert out1 == (blk("r", 2, 1), blk("r", 2, 1), blk("r", 4, 1))
 
@@ -460,9 +470,13 @@ def test_canonical_order_exceptional_puts_pivot_first():
 
 
 def test_canonical_order_missing_pivot_raises():
+    # The same message as validate_order's: both ask locate_pivot.
     target = TargetTriple("r", 5, 3)
-    with pytest.raises(ValueError):
+    message = "required block (r,5,1) absent from the order"
+    with pytest.raises(ValueError, match=re.escape(message)):
         canonical_order([blk("r", 1, 1)], target, PSI_SIDE)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_order([blk("r", 1, 1)], target, PSI_SIDE)
 
 
 def test_canonical_order_b0_two_is_plain_sort():
@@ -478,6 +492,37 @@ def test_canonical_order_psi_plus_side():
     out = canonical_order(jord, target, PSI_PLUS_SIDE)
     assert out == (blk("r", 1, 1), blk("r", 5, 3), blk("r", 6, 4))
     assert validate_order(out, target, PSI_PLUS_SIDE) == []
+
+
+# canonical_order takes locate_pivot's copy of the pivot block; the former
+# code took out the first equal copy. Copies are equal values, so the two
+# must build the same tuple, however many copies there are.
+
+
+@st.composite
+def _pivot_copies_case(draw):
+    """A target (normal, exceptional b0 = a0 + 1, or b0 = 2), a side, and a
+    shuffled block list of mixed labels, twists and repeats holding that
+    side's pivot block plus 0-3 extra copies of it."""
+    a0 = draw(st.integers(1, 6))
+    target = TargetTriple("r", a0, draw(st.sampled_from([2, a0 + 1, a0 + 2, a0 + 5])))
+    side = draw(st.sampled_from([PSI_SIDE, PSI_PLUS_SIDE]))
+    sizes = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=8)
+    blocks = [blk("r", a, b) for a, b in draw(sizes)]
+    blocks += [blk("rs", a, b) for a, b in draw(sizes)[:2]]
+    blocks += [blk("r", a, b, Fraction(1, 4)) for a, b in draw(sizes)[:2]]
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=3)) if blocks else []
+    pivot = target.pivot_block(side)
+    if pivot is not None:
+        blocks += [pivot] * draw(st.integers(1, 4))
+    return draw(st.permutations(blocks)), target, side
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pivot_copies_case())
+def test_canonical_order_matches_list_remove_oracle(case):
+    blocks, target, side = case
+    assert canonical_order(blocks, target, side) == canonical_order_by_remove(blocks, target, side)
 
 
 # Random good-parity multisets: canonical_order output always validates.

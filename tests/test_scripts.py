@@ -2,6 +2,7 @@
 the benchmark's tracer finds every name it patches."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,14 @@ def test_tracer_installs():
     # The tracer patches names where their callers bind them; a name deleted
     # or moved from its module fails here, not only in perfbench/selfcheck.py.
     _run_python("-c", "import tracer; tracer.install(tracer.Tracer())", path=[str(ROOT / "perfbench")])
+
+
+def test_answer_digest_large_jord():
+    # One line per query of the seed-41 large-jord workload, driven through
+    # this checkout's own src; packet-survey is left out to keep this short.
+    lines = _run_python(str(SCRIPTS / "answer_digest.py"), str(ROOT), "--workload", "large-jord")
+    rows = [line.split(" ") for line in lines.splitlines()]
+    assert rows and all(len(row) == 4 and row[0] == "large-jord" for row in rows)
+    assert {"validate", "order", "transfer"} <= {cmd for _, cmd, _, _ in rows}
+    assert all(code.isdigit() and re.fullmatch("[0-9a-f]{32}", hexdigest)
+               for _, _, code, hexdigest in rows)
