@@ -3,7 +3,7 @@
 
 Usage, from anywhere:
 
-    python scripts/answer_digest.py ROOT [--workload NAME] [--seed N]
+    python scripts/answer_digest.py ROOT [--workload NAME]
 
 ROOT is a checkout of this repository. The script drives the seed-41
 workloads of ROOT's own ``perfbench`` (both, or only NAME) through ROOT's own
@@ -28,7 +28,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("root", type=Path, help="the checkout to drive")
     ap.add_argument("--workload", help="only this workload (default: all)")
-    ap.add_argument("--seed", type=int, default=41, help="workload seed (default 41)")
     args = ap.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -47,7 +46,7 @@ def main() -> int:
         return 2
     runner = R.InProcess()
     for name in names:
-        wl = W.WORKLOADS[name](args.seed, root)
+        wl = W.WORKLOADS[name](41, root)
         log: list = []
         R.drive(wl.units, runner, R.Tally(), log=log)
         for sent in log:
