@@ -22,6 +22,7 @@ from .core_types import (
     GroupKind,
     GroupType,
     LContext,
+    MINUS,
     PLUS,
     Parity,
     TriBool,
@@ -508,6 +509,24 @@ def canonical_json(value: Any) -> str:
     return "".join(out)
 
 
+def _packet_list_json(
+    epsilon: int, blocks: Sequence[JordanBlock], members: Sequence[PacketParams]
+) -> str:
+    """``canonical_json({"epsilon": ..., "params": [{"eta": [...], "t": [...]}]})``
+    for the members of a nonempty block list (which has members of either
+    sign), written from lines rendered once: one per sign and one per t value
+    up to the largest floor(min(a, b)/2)."""
+    eta_line = {PLUS: '        "+"', MINUS: '        "-"'}.__getitem__
+    top = max(min(blk.a, blk.b) for blk in blocks) // 2
+    t_line = [f"        {t}" for t in range(top + 1)].__getitem__
+    body = ",\n".join(
+        '    {\n      "eta": [\n' + ",\n".join(map(eta_line, p.eta))
+        + '\n      ],\n      "t": [\n' + ",\n".join(map(t_line, p.t)) + "\n      ]\n    }"
+        for p in members
+    )
+    return f'{{\n  "epsilon": "{sign_str(epsilon)}",\n  "params": [\n{body}\n  ]\n}}\n'
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -589,20 +608,21 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     return (EXIT_FAIL if docs else EXIT_OK), {"violations": docs}
 
 
-def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict | str]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     epsilon = parse_sign(args.epsilon) if args.epsilon else ws.group.epsilon
+    blocks = entry.ordered()
     if args.count:
-        count = count_params(entry.ordered(), epsilon)
+        count = count_params(blocks, epsilon)
         return EXIT_OK, {"count": count, "epsilon": sign_str(epsilon)}
-    return EXIT_OK, {
-        "epsilon": sign_str(epsilon),
-        "params": [
-            {"t": list(p.t), "eta": [sign_str(e) for e in p.eta]}
-            for p in enumerate_params(entry.ordered(), epsilon)
-        ],
-    }
+    members = enumerate_params(blocks, epsilon)
+    if not blocks:  # one member with no entries for +, none for -
+        return EXIT_OK, {
+            "epsilon": sign_str(epsilon),
+            "params": [{"t": [], "eta": []} for _ in members],
+        }
+    return EXIT_OK, _packet_list_json(epsilon, blocks, members)
 
 
 def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
@@ -879,8 +899,10 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(canonical_json(payload))
+def _emit(payload: dict | str) -> None:
+    """Write an answer: a str as it is (``packet --list`` renders its own
+    bytes), anything else through canonical_json."""
+    sys.stdout.write(payload if isinstance(payload, str) else canonical_json(payload))
 
 
 # Built by the first run(), not at import: an import that answers no query

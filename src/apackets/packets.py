@@ -154,6 +154,22 @@ class PacketParams:
             raise ValueError(f"params cover {len(self)} blocks, order has {len(blocks)}")
 
 
+# The slot setters of the two fields, which a frozen instance's own
+# __setattr__ refuses; bound once for _member.
+_new = object.__new__
+_set_t = PacketParams.__dict__["t"].__set__
+_set_eta = PacketParams.__dict__["eta"].__set__
+
+
+def _member(t: tuple[int, ...], eta: tuple[int, ...]) -> PacketParams:
+    """A PacketParams from tuples this module built from admissible_pairs and
+    the sign rule, without the constructor's checks, which they pass."""
+    p = _new(PacketParams)
+    _set_t(p, t)
+    _set_eta(p, eta)
+    return p
+
+
 def validate_params(
     blocks: Sequence[JordanBlock], params: PacketParams, epsilon: int
 ) -> list[Violation]:
@@ -222,7 +238,7 @@ def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[Packe
         ts = tuple(t for t, _, _ in choice)
         etas = tuple(eta for _, eta, _ in choice)
         for t, eta in completing[product]:
-            found.append(PacketParams(ts + (t,), etas + (eta,)))
+            found.append(_member(ts + (t,), etas + (eta,)))
     return tuple(found)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
+from apackets.cli import canonical_json
 from apackets.core_types import (
     MINUS,
     PLUS,
@@ -28,6 +29,7 @@ from apackets.core_types import (
     HalfInt,
     Parity,
     Violation,
+    sign_str,
 )
 from apackets.jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
 from apackets.lfactors import pole_contribution_table
@@ -38,6 +40,7 @@ from apackets.packets import (
     block_sign,
     check_constraint1,
     derive_prime_block,
+    enumerate_params,
     locate_pivot,
 )
 
@@ -122,6 +125,20 @@ def sign_excess(a: int, b: int) -> int:
         for t in range(m // 2 + 1)
         for eta in (1, -1)
         if not (2 * t == m and eta == -1)
+    )
+
+
+def packet_list_json(blocks, epsilon: int) -> str:
+    """The answer of `packet --list`: its payload as one dict per member,
+    written by canonical_json. The oracle of the command's line templates."""
+    return canonical_json(
+        {
+            "epsilon": sign_str(epsilon),
+            "params": [
+                {"t": list(p.t), "eta": [sign_str(e) for e in p.eta]}
+                for p in enumerate_params(blocks, epsilon)
+            ],
+        }
     )
 
 

@@ -28,7 +28,7 @@ from apackets.cli import (
     serialize_workspace,
 )
 from apackets.core_types import HalfInt
-from _helpers import closed_form_count, respects_commutation_order
+from _helpers import blk, closed_form_count, packet_list_json, respects_commutation_order
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -536,6 +536,39 @@ def test_packet_list(capsys):
         {"t": [1, 0], "eta": ["+", "-"]},
         {"t": [1, 1], "eta": ["+", "+"]},
     ]
+
+
+def _packet_list_cases(rng):
+    """(sizes, order) of good-parity SOodd blocks: the parameter of no blocks
+    (one member with "eta": [] and "t": [] for +, "params": [] for -), one with
+    two-digit t values, one with a declared order, then 0-6 blocks drawn at
+    random, some with a declared order."""
+    yield [], None
+    yield [(21, 20), (2, 3), (44, 41)], None
+    yield [(1, 2), (4, 3), (2, 5)], [2, 0, 1]
+    for _ in range(40):
+        sizes = []
+        for _ in range(rng.randint(0, 6)):
+            a = rng.randint(1, 5)
+            sizes.append((a, rng.choice([b for b in range(1, 6) if (a + b) % 2])))
+        yield sizes, (rng.sample(range(len(sizes)), len(sizes)) if rng.random() < 0.5 else None)
+
+
+def test_packet_list_bytes_match_oracle(capsys, tmp_path):
+    ws = tmp_path / "ws.json"
+    for sizes, order in _packet_list_cases(random.Random(13)):
+        extra = {} if order is None else {"order": order}
+        ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes], **extra))
+        blocks = [blk("r", *sizes[k]) for k in (range(len(sizes)) if order is None else order)]
+        for epsilon, sign in ((1, "+"), (-1, "-")):
+            code, out, _ = _run(
+                capsys, "packet", "-w", str(ws), "--param", "P", "--list", "--epsilon", sign
+            )
+            assert code == EXIT_OK
+            # Equal as lines exactly when equal as text; a failure names the
+            # first differing line instead of diffing up to a megabyte.
+            lines = packet_list_json(blocks, epsilon).split("\n")
+            assert out.split("\n") == lines, (sizes, order, sign)
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])

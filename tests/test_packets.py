@@ -207,8 +207,15 @@ def test_count_partition(sizes):
 )
 def test_enumeration_order_matches_brute_force(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
-    got = [tuple(zip(p.t, p.eta)) for p in enumerate_params(blocks, epsilon)]
-    assert got == _brute_force(blocks, epsilon)
+    found = enumerate_params(blocks, epsilon)
+    assert [tuple(zip(p.t, p.eta)) for p in found] == _brute_force(blocks, epsilon)
+    # Members skip the constructor's checks; each is still the one it builds.
+    for p in found:
+        rebuilt = PacketParams(list(p.t), list(p.eta))
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert type(p.t) is type(p.eta) is tuple
+        assert all(type(e) is int and e in (PLUS, MINUS) for e in p.eta)
+        assert validate_params(blocks, p, epsilon) == []
 
 
 def test_enumerate_empty_block_list():
