@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from .archimedean import ArchBlock, combined_inf_char, inf_char, is_regular, normalization_order
@@ -313,10 +314,30 @@ _BLOCK = _Table(
     ("twist_num", _int, 0),
     ("twist_den", _positive("denominator"), 1),
 )
+
+
+def _jord_row(row: Any, ctx: dict) -> JordanBlock:
+    """A ``jord`` row: a valid one passes one test and is built; any other
+    goes to _BLOCK, which names its first fault."""
+    if (
+        type(row) is dict and row.keys() <= _BLOCK.keys
+        and type(rho := row.get("rho")) is str and rho in ctx["labels"]
+        and type(a := row.get("a")) is int and a >= 1
+        and type(b := row.get("b")) is int and b >= 1
+        and type(num := row.get("twist_num", 0)) is int
+        and type(den := row.get("twist_den", 1)) is int and den >= 1
+    ):
+        try:
+            return JordanBlock(rho, a, b, Fraction(num, den) if num else ZERO_TWIST)
+        except ValueError:
+            pass
+    return _BLOCK(row, ctx)
+
+
 _PARAMETER = _Table(
     _param_entry,
     ("name", _str, _REQUIRED),
-    ("jord", _list_of(_BLOCK), _REQUIRED),
+    ("jord", _list_of(_jord_row), _REQUIRED),
     ("order", _list_of(_int), None),
     ("t", _list_of(_int), None),
     ("eta", _list_of(_sign), None),
@@ -353,17 +374,22 @@ _ROOT = _Table(
 )
 
 
+# Bytes that are not text, or text that is not JSON: both ValueErrors, but not
+# the one an over-long integer literal raises.
+_DECODE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError)
+
+
 def parse_workspace(text: str | bytes) -> Workspace:
     """Parse and validate a workspace document; schema problems raise a
     WorkspaceError carrying the JSON-pointer path of the offending value."""
     try:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError:
+        except _DECODE_ERRORS:
             raise
         except ValueError:  # an integer literal longer than int() accepts
             data = json.loads(text, parse_int=_LongInt)
-    except json.JSONDecodeError as exc:
+    except _DECODE_ERRORS as exc:
         raise WorkspaceError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise WorkspaceError("", "invalid JSON: nesting too deep") from None
@@ -379,16 +405,6 @@ class _LongInt(int):
             return int(text)
         except ValueError:
             return super().__new__(cls, len(text.lstrip("-")))
-
-
-def _block_doc(blk: JordanBlock) -> dict:
-    return {
-        "rho": blk.rho,
-        "a": blk.a,
-        "b": blk.b,
-        "twist_num": blk.twist.numerator,
-        "twist_den": blk.twist.denominator,
-    }
 
 
 def serialize_workspace(ws: Workspace) -> str:
@@ -420,7 +436,7 @@ def serialize_workspace(ws: Workspace) -> str:
     for name, entry in ws.parameters.items():
         pdoc: dict[str, Any] = {
             "name": name,
-            "jord": [_block_doc(blk) for blk in entry.parameter.blocks],
+            "jord": entry.parameter.blocks,
         }
         if entry.order is not None:
             pdoc["order"] = list(entry.order)
@@ -457,9 +473,20 @@ def _breaks(depth: int) -> tuple[str, str]:
 
 
 def _write(value: Any, depth: int, out: list[str]) -> None:
-    # The types and their order are those of json.encoder: a str or int
-    # subclass is written as its base type, and a tuple as a list.
-    if isinstance(value, str):
+    # A block, most of a large answer, is tested first and written as its
+    # jord row, keys sorted. The other types and their order are those of
+    # json.encoder: a str or int subclass is written as its base type, and a
+    # tuple as a list.
+    if type(value) is JordanBlock:
+        sep = _breaks(depth + 1)[0]
+        twist = value.twist
+        out.append(
+            f'{{{sep}"a": {value.a},{sep}"b": {value.b},'
+            f'{sep}"rho": {encode_basestring_ascii(value.rho)},'
+            f'{sep}"twist_den": {twist.denominator},{sep}"twist_num": {twist.numerator}'
+            f"{_BREAKS[depth][0]}}}"
+        )
+    elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
@@ -502,7 +529,8 @@ def _write(value: Any, depth: int, out: list[str]) -> None:
 def canonical_json(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` plus a newline, for
     the values a report holds: str-keyed dicts, lists, tuples, str, int,
-    bool and None. Anything else, floats included, raises TypeError."""
+    bool, None, and a JordanBlock, written as its ``jord`` row of all five
+    keys. Anything else, floats included, raises TypeError."""
     out: list[str] = []
     _write(value, 0, out)
     out.append("\n")
@@ -625,6 +653,11 @@ def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict | str]:
     return EXIT_OK, _packet_list_json(epsilon, blocks, members)
 
 
+# Equal exactly when the blocks are, and cheaper to hash than a block, whose
+# hash hashes its Fraction.
+_block_fields = attrgetter("rho", "a", "b", "twist.numerator", "twist.denominator")
+
+
 def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
@@ -637,15 +670,12 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
         }
     co = canonical_order(entry.parameter.blocks, target, args.side)
     # Equal blocks take their original indices in ascending order.
-    positions: dict[JordanBlock, list[int]] = {}
+    positions: dict[tuple, list[int]] = {}
     for k, blk in enumerate(entry.parameter.blocks):
-        positions.setdefault(blk, []).append(k)
-    unused = {blk: iter(ks) for blk, ks in positions.items()}
-    indices = [next(unused[blk]) for blk in co]
-    return EXIT_OK, {
-        "indices": indices,
-        "blocks": [_block_doc(blk) for blk in co],
-    }
+        positions.setdefault(_block_fields(blk), []).append(k)
+    unused = {key: iter(ks) for key, ks in positions.items()}
+    indices = [next(unused[_block_fields(blk)]) for blk in co]
+    return EXIT_OK, {"indices": indices, "blocks": co}
 
 
 def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
@@ -677,9 +707,9 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, {
         "psi_plus": {
             "m_star": psi_plus.group.rank_dim,
-            "jord": [_block_doc(blk) for blk in psi_plus.blocks],
+            "jord": psi_plus.blocks,
         },
-        "order": [_block_doc(blk) for blk in new_order],
+        "order": new_order,
         "t": list(new_params.t),
         "eta": [sign_str(e) for e in new_params.eta],
         "pivot": {

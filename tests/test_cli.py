@@ -28,6 +28,7 @@ from apackets.cli import (
     serialize_workspace,
 )
 from apackets.core_types import HalfInt
+from apackets.jordan import ZERO_TWIST, JordanBlock
 from _helpers import blk, closed_form_count, packet_list_json, respects_commutation_order
 
 DATA = Path(__file__).parent / "data"
@@ -180,6 +181,18 @@ def test_invalid_json_pointer():
     pointer, message = _pointer_of("{nope")
     assert pointer == ""
     assert "invalid JSON" in message
+
+
+def test_workspace_not_utf8_is_invalid_json_decoded_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_bytes(b"\xff{}")
+    loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    code, out, _ = _run(capsys, "validate", "-w", str(path))
+    assert len(calls) == 1
+    assert code == EXIT_FAIL
+    assert loads(out) == {"error": "/: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 0: invalid start byte"}
 
 
 def test_bad_group_kind_pointer():
@@ -427,6 +440,55 @@ def test_unknown_key_pointer_escapes_tilde_and_slash(doc, pointer):
 def test_workspace_error_str_carries_pointer():
     err = WorkspaceError("/labels/0/dim", "expected an integer, got str")
     assert str(err) == "/labels/0/dim: expected an integer, got str"
+
+
+# One pool per jord key: valid values first, then every kind of fault the
+# table reports, the too-long literal and |twist| >= 1/2 included.
+_LONG = cli._LongInt("9" * 4301)
+_ROW_VALUES = {
+    "rho": (["r", "u"], ["zz", "", 1, None, True]),
+    "a": ([1, 2, 7, 10**30], [0, -1, True, False, 1.0, "3", None, _LONG]),
+    "b": ([1, 3, 4, 2**70], [0, -1, True, 2.0, "1", [], _LONG]),
+    "twist_num": ([0, 1, -1, -2, 2, 3], [7, -9, True, 1.5, "1", None, _LONG]),
+    "twist_den": ([1, 3, 5, 7, 11], [2, 0, -3, True, 2.0, "2", None, _LONG]),
+}
+
+
+def _random_row(rng):
+    """A jord row with its keys in a random order, or now and then not an object."""
+    if rng.random() < 0.03:
+        return rng.choice([1, [], "x", None, True])
+    row = {}
+    for key in rng.sample(sorted(_ROW_VALUES), len(_ROW_VALUES)):
+        good, bad = _ROW_VALUES[key]
+        if rng.random() < (0.95 if key in ("rho", "a", "b") else 0.6):
+            row[key] = rng.choice(good if rng.random() < 0.85 else bad)
+    if rng.random() < 0.05:
+        row[rng.choice(["bogus", "twist", "A"])] = 1
+    return row
+
+
+def _read_outcome(read, row, ctx):
+    try:
+        got = read(row, ctx)
+    except WorkspaceError as exc:
+        return "error", exc.pointer, exc.message
+    return "block", got, [type(v) for v in (got.rho, got.a, got.b, got.twist)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jord_row_reader_agrees_with_the_table(seed):
+    """The one-check row reader gives the table's block, or the table's
+    pointer and message, on valid rows and on every kind of fault."""
+    rng = random.Random(seed)
+    ctx = {"labels": parse_workspace(DEMO.read_text()).labels}
+    kinds = {"block": 0, "error": 0}
+    for _ in range(3000):
+        row = _random_row(rng)
+        want = _read_outcome(cli._BLOCK, row, ctx)
+        assert _read_outcome(cli._jord_row, row, ctx) == want, row
+        kinds[want[0]] += 1
+    assert min(kinds.values()) > 500, kinds
 
 
 # --- serialization -----------------------------------------------------------------
@@ -714,30 +776,36 @@ def test_order_missing_pivot_message(capsys, mode):
 
 @st.composite
 def _repeated_pivot_orders(draw):
-    """A target, a side, and a shuffled block list holding several copies of
-    that side's pivot block and repeats of other blocks."""
+    """A target, a side, and a shuffled list of (rho, a, b, twist) rows holding
+    several copies of that side's pivot block, copies of it that differ only
+    in twist, a u/v pair of equal sizes, and repeats of other blocks."""
     exceptional = draw(st.booleans())
     a0 = draw(st.integers(2, 4))
     b0 = a0 + 1 if exceptional else draw(st.integers(3, 6).filter(lambda b: b != a0 + 1))
     side = draw(st.sampled_from(["psi", "psi_plus"]))
-    pivot = (a0, b0 - 2) if side == "psi" else (a0, b0)
-    others = draw(
-        st.lists(st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 3), (a0, b0 + 2)]), max_size=5)
-    )
+    pivot = ("r", a0, b0 - 2 if side == "psi" else b0, ZERO_TWIST)
+    twins = [pivot[:3] + (Fraction(1, 3),), pivot[:3] + (Fraction(-1, 3),)]
+    others = draw(st.lists(st.sampled_from([
+        ("r", 1, 1, ZERO_TWIST), ("r", 2, 1, ZERO_TWIST), ("r", 2, 3, ZERO_TWIST),
+        ("r", 3, 3, ZERO_TWIST), ("r", a0, b0 + 2, ZERO_TWIST), ("r", 2, 3, Fraction(1, 5)),
+        ("u", 2, 2, ZERO_TWIST), ("v", 2, 2, ZERO_TWIST), *twins,
+    ]), max_size=8))
     copies = draw(st.integers(2, 4))
-    blocks = draw(st.permutations([pivot] * copies + others))
-    return a0, b0, side, blocks
+    rows = draw(st.permutations([pivot] * copies + others))
+    return a0, b0, side, rows
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_repeated_pivot_orders())
 def test_order_canonical_indices_with_repeated_blocks(case):
-    a0, b0, side, sizes = case
-    jord = [{"rho": "r", "a": a, "b": b, "twist_num": 0, "twist_den": 1} for a, b in sizes]
+    a0, b0, side, rows = case
+    jord = [{"rho": rho, "a": a, "b": b, "twist_num": x.numerator, "twist_den": x.denominator}
+            for rho, a, b, x in rows]
     # order takes only good-parity targets: (r, a0, b0) is of good parity
     # for SOodd when a0 + b0 is odd, and for Sp when it is even.
     doc = json.loads(_param_doc(jord))
     doc["group"]["kind"] = "SOodd" if (a0 + b0) % 2 else "Sp"
+    doc["labels"] += [{"id": rho, "dim": 2, "self_dual": False} for rho in "uv"]
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
             contextlib.redirect_stdout(out):
@@ -1137,8 +1205,16 @@ _SCALARS = (
     | st.integers(min_value=2**64, max_value=2**200)
     | st.integers(min_value=-(2**200), max_value=-(2**64))
 )
+_BLOCKS = st.builds(
+    JordanBlock,
+    _TEXT,
+    st.integers(min_value=1) | st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=1),
+    st.just(ZERO_TWIST)
+    | st.fractions(Fraction(-1, 2), Fraction(1, 2)).filter(lambda x: abs(x) != Fraction(1, 2)),
+)
 _TREES = st.recursive(
-    _SCALARS,
+    _SCALARS | _BLOCKS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, inner, max_size=4),
@@ -1146,20 +1222,53 @@ _TREES = st.recursive(
 )
 
 
+def _rows(value):
+    """The tree with each block replaced by its jord row of all five keys."""
+    if isinstance(value, JordanBlock):
+        twist = value.twist
+        return {"rho": value.rho, "a": value.a, "b": value.b,
+                "twist_num": twist.numerator, "twist_den": twist.denominator}
+    if isinstance(value, dict):
+        return {k: _rows(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_rows, value))
+    return value
+
+
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 def test_canonical_json_matches_json_dumps(value):
-    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(value) == json.dumps(_rows(value), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
     "value",
     ["\x00\x1f\"\\/é \U0001f600\ud800", [[], {}, (), [[]], {"": {}}], (1, (2,)),
-     {"b": 1, "a": [True, False, None], "\U0001f600": -(2**70)}],
-    ids=["escapes", "empty-containers", "nested-tuples", "mixed"],
+     {"b": 1, "a": [True, False, None], "\U0001f600": -(2**70)},
+     JordanBlock("\x00\x1f\"\\/é \U0001f600\ud800", 2, 1),
+     {"k": [[JordanBlock("r", 3, 5, Fraction(-3, 7))]]},
+     (JordanBlock("r", int("9" * 4300), 1, Fraction(1, int("9" * 4300))),),
+     {"order": (), "jord": [JordanBlock("u", 1, 1), JordanBlock("v", 1, 1, Fraction(-1, 3))]}],
+    ids=["escapes", "empty-containers", "nested-tuples", "mixed", "block-label-escapes",
+         "block-negative-twist", "block-4300-digits", "blocks-mixed"],
 )
 def test_canonical_json_edge_values(value):
-    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(value) == json.dumps(_rows(value), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "block",
+    [JordanBlock("r", 10**4300, 1), JordanBlock("r", 1, 10**4300),
+     JordanBlock("r", 1, 1, Fraction(1, 10**4300))],
+    ids=["a", "b", "twist_den"],
+)
+def test_canonical_json_too_long_int_in_a_block_keeps_the_message(block):
+    with pytest.raises(ValueError) as want:
+        json.dumps(_rows([block]))
+    with pytest.raises(ValueError) as got:
+        canonical_json([block])
+    assert str(got.value) == str(want.value)
+    assert "4300 digits" in str(got.value)
 
 
 @pytest.mark.parametrize(
