@@ -99,6 +99,9 @@ def normalization_order(
     of arch_lfactor_order over every (tau size, block) pair."""
     if s0.doubled <= 0:
         raise ValueError(f"s0 must be positive, got {s0}")
+    for a_tau in tau_sizes:
+        if a_tau < 1:
+            raise ValueError(f"a_tau must be >= 1, got {a_tau}")
     total = 0
     for a_tau in tau_sizes:
         for blk in blocks:

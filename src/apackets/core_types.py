@@ -129,14 +129,6 @@ class GroupType:
         return Parity.ORTHOGONAL
 
 
-class CentralValue(enum.Enum):
-    """Declared status of a central L-value."""
-
-    NONZERO = "nonzero"
-    ZERO = "zero"
-    UNKNOWN = "unknown"
-
-
 class TriBool(enum.Enum):
     """Three-valued truth for verdicts that may rest on undeclared facts."""
 
@@ -197,17 +189,18 @@ class LContext:
             raise ValueError(f"pairs declared both nonvanishing and vanishing: {sorted(clash)}")
         return cls(uni, pole, nonzero, zero)
 
-    def query_central(self, rho: str, rho2: str) -> CentralValue:
-        """Declared central-value status of the unordered pair (rho, rho2)."""
+    def query_central(self, rho: str, rho2: str) -> TriBool:
+        """Whether the central value of the unordered pair (rho, rho2) is
+        declared nonzero (TRUE), declared zero (FALSE) or undeclared."""
         for r in (rho, rho2):
             if r not in self.universe:
                 raise ValueError(f"undeclared label: {r!r}")
         pair = _normalized_pair(rho, rho2)
         if pair in self.nonvanishing_pairs:
-            return CentralValue.NONZERO
+            return TriBool.TRUE
         if pair in self.vanishing_pairs:
-            return CentralValue.ZERO
-        return CentralValue.UNKNOWN
+            return TriBool.FALSE
+        return TriBool.UNKNOWN
 
     def has_rg_pole_at_1(self, rho: str) -> bool:
         if rho not in self.universe:

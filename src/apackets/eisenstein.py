@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .core_types import CentralValue, LContext, TriBool, kleene_and
+from .core_types import LContext, TriBool, kleene_and
 
 RationalLike = Union[Fraction, int]
 
@@ -24,9 +24,6 @@ class GlobalJord:
         for rho, b in self.pairs:
             if b < 1:
                 raise ValueError(f"size must be >= 1, got ({rho!r}, {b})")
-
-    def contains(self, rho: str, b: int) -> bool:
-        return (rho, b) in self.pairs
 
 
 class VerdictKind(enum.Enum):
@@ -76,19 +73,9 @@ def global_pole_conditions(
     if s == Fraction(1, 2):
         cond1 = ctx.has_rg_pole_at_1(rho)
     else:
-        cond1 = jord.contains(rho, two_s0 - 1)
+        cond1 = (rho, two_s0 - 1) in jord.pairs
 
-    central: list[TriBool] = []
-    for rho2, b2 in jord.pairs:
-        if b2 != two_s0:
-            continue
-        value = ctx.query_central(rho, rho2)
-        if value is CentralValue.NONZERO:
-            central.append(TriBool.TRUE)
-        elif value is CentralValue.ZERO:
-            central.append(TriBool.FALSE)
-        else:
-            central.append(TriBool.UNKNOWN)
+    central = [ctx.query_central(rho, rho2) for rho2, b2 in jord.pairs if b2 == two_s0]
     return cond1, kleene_and(central)
 
 

@@ -91,7 +91,7 @@ def jac_nonvanishing_necessary(
     B <= (largest A reached) + 1, so one pass over the blocks sorted by B
     finds the largest reachable A. O(n log n).
     """
-    blocks = list(untwisted_blocks(psi, rho, "in chain search (decompose first)"))
+    blocks = list(untwisted_blocks(psi, rho, "in chain search"))
 
     x = seg.start.doubled
     reach = max((blk.A_x2 for blk in blocks if blk.zeta * blk.B_x2 == x), default=None)

@@ -1,5 +1,5 @@
-"""Jordan blocks, quadruple coordinates, parity bookkeeping, and the
-good-parity part Jord_bp of a parameter."""
+"""Jordan blocks, quadruple coordinates, good parity (which defines
+Jord_bp), and structural validation of a parameter."""
 
 from __future__ import annotations
 
@@ -89,10 +89,6 @@ class JordanBlock:
         if 2 * abs(twist.numerator) >= twist.denominator:
             raise ValueError(f"twist must satisfy |x| < 1/2, got {twist}")
 
-    def dim_multiplier(self) -> int:
-        """Contribution a*b to the standard dimension, per unit of dim(rho)."""
-        return self.a * self.b
-
     def __str__(self) -> str:
         if self.twist == 0:
             return f"({self.rho},{self.a},{self.b})"
@@ -119,13 +115,13 @@ class ArthurParameter:
         for blk in self.blocks:
             if blk.rho not in labels:
                 raise ValueError(f"unknown label: {blk.rho!r}")
-            total += labels[blk.rho].dim * blk.dim_multiplier()
+            total += labels[blk.rho].dim * blk.a * blk.b
         return total
 
 
 def untwisted_blocks(psi: ArthurParameter, rho: str, where: str) -> Iterator[JordanBlock]:
     """The label's blocks, lazily and in order; a twisted one raises, naming
-    the block and ``where`` it was passed (decompose first)."""
+    the block and ``where`` it was passed."""
     for blk in psi.blocks:
         if blk.rho != rho:
             continue
@@ -184,22 +180,6 @@ def _pairing_classes(
             heaviest > half and not labels[cls[0].rho].self_dual
         ):
             raise ValueError(f"blocks cannot be grouped into contragredient pairs (near {cls[0]})")
-
-
-def decompose(
-    psi: ArthurParameter, labels: Mapping[str, CuspidalLabel]
-) -> tuple[JordanBlock, ...]:
-    """Jord_bp: the good-parity blocks, in the order the parameter lists them.
-
-    Raises if any other block cannot be matched with a contragredient
-    partner of the opposite twist.
-    """
-    bp: list[JordanBlock] = []
-    rest: list[JordanBlock] = []
-    for blk in psi.blocks:
-        (bp if good_parity(blk, psi.group, labels) else rest).append(blk)
-    _pairing_classes(rest, labels)
-    return tuple(bp)
 
 
 def validate_parameter(

@@ -53,8 +53,8 @@ def r_order(psi: ArthurParameter, rho: str, a0: int, s0: HalfInt) -> int:
     """Pole order (<= 0) of the normalization factor for (rho, a0) at s0.
 
     Sums -1 per same-label block contributing a pole at s0 = (b0-1)/2, that
-    is at the size b0 = 2*s0 + 1 >= 2. Blocks are expected untwisted
-    (decompose first); a twisted same-label block raises.
+    is at the size b0 = 2*s0 + 1 >= 2. Blocks are expected untwisted; a
+    twisted same-label block raises.
     """
     if a0 < 1:
         raise ValueError(f"a0 must be >= 1, got {a0}")

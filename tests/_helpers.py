@@ -214,11 +214,14 @@ def pair_up_by_search(blocks, labels) -> list[tuple[JordanBlock, JordanBlock]]:
     return result
 
 
-def decompose_by_search(psi: ArthurParameter, labels) -> tuple[JordanBlock, ...]:
-    """``decompose`` with its verdict from ``pair_up_by_search``: the
-    good-parity blocks in the parameter's order, or ValueError."""
-    pair_up_by_search([b for b in psi.blocks if not good_parity(b, psi.group, labels)], labels)
-    return tuple(b for b in psi.blocks if good_parity(b, psi.group, labels))
+def pairs_up_by_search(psi: ArthurParameter, labels) -> bool:
+    """Whether the blocks outside Jord_bp (the good-parity blocks) group into
+    contragredient pairs, by ``pair_up_by_search``."""
+    try:
+        pair_up_by_search([b for b in psi.blocks if not good_parity(b, psi.group, labels)], labels)
+    except ValueError:
+        return False
+    return True
 
 
 # --- brute-force oracles for the Jacquet normal form --------------------------

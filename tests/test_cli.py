@@ -945,6 +945,17 @@ def test_arch_order(capsys):
     assert payload == {"order": -1}
 
 
+@pytest.mark.parametrize("blocks", [[], [{"a_delta": 2, "b": 1}]], ids=["no-blocks", "one-block"])
+def test_arch_order_rejects_a_tau_below_one_with_or_without_blocks(capsys, tmp_path, blocks):
+    ws = tmp_path / "ws.json"
+    ws.write_text(_minimal(arch=[{"name": "E", "blocks": blocks}]))
+    code, payload = _run_json(
+        capsys, "arch-order", "-w", str(ws), "--arch", "E", "--a-tau", "1", "--a-tau", "0", "--s0", "1"
+    )
+    assert code == EXIT_FAIL
+    assert payload == {"error": "a_tau must be >= 1, got 0"}
+
+
 def test_eisenstein_pole_and_residue(capsys):
     code, payload = _run_json(
         capsys,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from apackets.core_types import (
     MINUS,
     PLUS,
-    CentralValue,
     CuspidalLabel,
     GroupKind,
     GroupType,
@@ -145,18 +144,18 @@ def _ctx():
 
 def test_lcontext_query_symmetry_nonzero():
     ctx = _ctx()
-    assert ctx.query_central("rho1", "rho2") is CentralValue.NONZERO
-    assert ctx.query_central("rho2", "rho1") is CentralValue.NONZERO
+    assert ctx.query_central("rho1", "rho2") is TriBool.TRUE
+    assert ctx.query_central("rho2", "rho1") is TriBool.TRUE
 
 
 def test_lcontext_undeclared_pair_is_unknown():
     ctx = _ctx()
-    assert ctx.query_central("rho2", "rho3") is CentralValue.UNKNOWN
+    assert ctx.query_central("rho2", "rho3") is TriBool.UNKNOWN
 
 
 def test_lcontext_declared_vanishing():
     ctx = _ctx()
-    assert ctx.query_central("rho1", "rho1") is CentralValue.ZERO
+    assert ctx.query_central("rho1", "rho1") is TriBool.FALSE
 
 
 def test_lcontext_rg_pole():

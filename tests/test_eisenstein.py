@@ -29,13 +29,6 @@ def _ctx(**kwargs):
 # --- global datum --------------------------------------------------------------
 
 
-def test_global_jord_contains():
-    jord = GlobalJord((("rho", 3), ("rho2", 4)))
-    assert jord.contains("rho", 3)
-    assert not jord.contains("rho", 4)
-    assert not jord.contains("zz", 3)
-
-
 def test_global_jord_rejects_bad_size():
     with pytest.raises(ValueError):
         GlobalJord((("rho", 0),))
@@ -49,6 +42,10 @@ def test_conditions_half_integral_point():
     cond1, cond2 = global_pole_conditions(jord, "rho", Fraction(2), _ctx())
     assert cond1 is True  # (rho, 2*2 - 1) = (rho, 3) is present
     assert cond2 is T  # no size-4 pairs: vacuously true
+    # Size 3 on another label, or rho at another size, is not the pair.
+    jord = GlobalJord((("rho2", 3), ("rho", 4)))
+    cond1, _ = global_pole_conditions(jord, "rho", Fraction(2), _ctx())
+    assert cond1 is False
 
 
 def test_conditions_vanishing_central_value():

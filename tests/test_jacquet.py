@@ -108,7 +108,7 @@ def test_chain_condition_rejects_twisted_blocks():
     )
     with pytest.raises(ValueError) as err:
         jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(1)))
-    assert str(err.value) == "twisted block (r,2,2;x=1/4) in chain search (decompose first)"
+    assert str(err.value) == "twisted block (r,2,2;x=1/4) in chain search"
 
 
 # --- irreducibility ----------------------------------------------------------------

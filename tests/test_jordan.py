@@ -1,5 +1,6 @@
-"""Blocks, quadruple coordinates, parity classification, decomposition,
-and structural parameter validation."""
+"""Blocks, quadruple coordinates, parity classification, the split of a
+parameter into Jord_bp and contragredient pairs, and structural parameter
+validation."""
 
 import dataclasses
 import random
@@ -15,7 +16,6 @@ from apackets.jordan import (
     ArthurParameter,
     JordanBlock,
     Quadruple,
-    decompose,
     from_quadruple,
     good_parity,
     to_quadruple,
@@ -23,8 +23,8 @@ from apackets.jordan import (
 )
 from _helpers import (
     blk,
-    decompose_by_search,
     label,
+    pairs_up_by_search,
     so_odd,
     soodd_param,
     sp,
@@ -137,10 +137,6 @@ def test_block_equality_hash_and_repr_ignore_coordinates():
     assert repr(block) == "JordanBlock(rho='r', a=3, b=4, twist=Fraction(0, 1))"
 
 
-def test_block_dim_multiplier():
-    assert blk("r", 3, 4).dim_multiplier() == 12
-
-
 def test_standard_dim():
     psi = soodd_param([blk("r", 2, 1), blk("rs", 1, 1)])
     assert psi.standard_dim(LABELS) == 1 * 2 + 2 * 1
@@ -189,13 +185,20 @@ def test_good_parity_for_dim1_orthogonal_label(a, b):
     assert sp_good == ((a % 2) == (b % 2))
 
 
-# --- decomposition ---------------------------------------------------------------
+# --- Jord_bp and the contragredient pairs set aside --------------------------------
+# A valid parameter splits into Jord_bp (its good-parity blocks) and blocks
+# that group into contragredient pairs: validate_parameter checks the split,
+# good_parity says which side each block is on.
+
+
+def _good(psi):
+    return [good_parity(b, psi.group, LABELS) for b in psi.blocks]
 
 
 def test_decompose_all_good_parity():
-    # Jord_bp comes back in the parameter's order, not sorted.
     psi = soodd_param([blk("r", 4, 1), blk("r", 2, 1)])
-    assert decompose(psi, LABELS) == (blk("r", 4, 1), blk("r", 2, 1))
+    assert _good(psi) == [True, True]
+    assert validate_parameter(psi, LABELS) == []
 
 
 def test_decompose_twisted_pair_distinct_labels():
@@ -205,7 +208,8 @@ def test_decompose_twisted_pair_distinct_labels():
             JordanBlock("v", 2, 1, Fraction(-1, 4)),
         ]
     )
-    assert decompose(psi, LABELS) == ()
+    assert _good(psi) == [False, False]
+    assert validate_parameter(psi, LABELS) == []
 
 
 def test_decompose_twisted_pair_self_dual_label():
@@ -215,22 +219,15 @@ def test_decompose_twisted_pair_self_dual_label():
             JordanBlock("r", 2, 1, Fraction(-1, 4)),
         ]
     )
-    assert decompose(psi, LABELS) == ()
+    assert _good(psi) == [False, False]
+    assert validate_parameter(psi, LABELS) == []
 
 
 def test_decompose_bad_parity_double_copy():
     # (r,1,1) has orthogonal product, wrong for SOodd: pairs with its copy.
     psi = soodd_param([blk("r", 1, 1), blk("r", 2, 1), blk("r", 1, 1)])
-    assert decompose(psi, LABELS) == (blk("r", 2, 1),)
-
-
-def test_decompose_unpairable_raises():
-    psi = soodd_param([JordanBlock("r", 2, 1, Fraction(1, 4))])
-    with pytest.raises(ValueError):
-        decompose(psi, LABELS)
-    psi2 = soodd_param([blk("r", 1, 1)])  # lone bad-parity block
-    with pytest.raises(ValueError):
-        decompose(psi2, LABELS)
+    assert _good(psi) == [False, True, False]
+    assert validate_parameter(psi, LABELS) == []
 
 
 def test_decompose_undeclared_twisted_label_is_a_value_error():
@@ -238,7 +235,8 @@ def test_decompose_undeclared_twisted_label_is_a_value_error():
         so_odd(4), (JordanBlock("nope", 2, 1, Fraction(1, 4)), JordanBlock("nope", 2, 1, Fraction(-1, 4)))
     )
     with pytest.raises(ValueError, match="unknown label: 'nope'"):
-        decompose(psi, LABELS)
+        good_parity(psi.blocks[0], psi.group, LABELS)
+    assert [v.code for v in validate_parameter(psi, LABELS)] == ["UnknownLabel"] * 2
 
 
 # Self-dual labels (bad parity at (1,1) and (2,2) for SOodd) and two families of
@@ -283,25 +281,18 @@ def _random_pairing_parameter(rng: random.Random) -> ArthurParameter:
     return ArthurParameter(so_odd(max(dim, 1) + rng.choice((0, 0, 1))), tuple(blocks))
 
 
-def test_decompose_and_validate_match_search_oracle():
+def test_validate_matches_search_oracle():
     rng = random.Random(2009)
     pairable = 0
     for _ in range(4000):
         psi = _random_pairing_parameter(rng)
-        try:
-            expected = decompose_by_search(psi, PAIRING_LABELS)
-        except ValueError:
-            expected = None
-            with pytest.raises(ValueError, match="contragredient pairs"):
-                decompose(psi, PAIRING_LABELS)
-        else:
-            pairable += 1
-            assert decompose(psi, PAIRING_LABELS) == expected, psi.blocks
+        pairs_up = pairs_up_by_search(psi, PAIRING_LABELS)
+        pairable += pairs_up
         codes = [v.code for v in validate_parameter(psi, PAIRING_LABELS)]
         dim = sum(PAIRING_LABELS[b.rho].dim * b.a * b.b for b in psi.blocks)
         assert codes == ["DimensionMismatch"] * (dim != psi.group.rank_dim) + [
             "UnpairedBlock"
-        ] * (expected is None), psi.blocks
+        ] * (not pairs_up), psi.blocks
     assert 1000 < pairable < 3000
 
 
@@ -314,7 +305,6 @@ def _distinct_labels_parameter(count: int):
 def test_forty_distinct_labels_pair_up():
     psi, labels = _distinct_labels_parameter(40)
     assert validate_parameter(psi, labels) == []
-    assert decompose(psi, labels) == ()
 
 
 def test_forty_one_distinct_labels_do_not_pair_up():
@@ -325,8 +315,6 @@ def test_forty_one_distinct_labels_do_not_pair_up():
     assert [(v.code, v.message) for v in vs] == [
         ("UnpairedBlock", "blocks cannot be grouped into contragredient pairs (near (d00,2,1))")
     ]
-    with pytest.raises(ValueError, match="contragredient pairs"):
-        decompose(psi, labels)
 
 
 def test_unpaired_block_names_the_class_that_fails():
@@ -364,7 +352,8 @@ def test_decompose_partition_law(good_sizes, pair_sizes):
         blocks.append(blk("r", 2, 1))
     psi = soodd_param(blocks)
     # Jord_bp is the untwisted blocks; the constructed pairs are set aside.
-    assert decompose(psi, LABELS) == tuple(b for b in blocks if b.twist == 0)
+    assert _good(psi) == [b.twist == 0 for b in blocks]
+    assert validate_parameter(psi, LABELS) == []
 
 
 # --- structural validation ----------------------------------------------------------

@@ -1,0 +1,53 @@
+"""Every public name in the package is read by a command, a script or an
+acceptance criterion.
+
+The check parses ``src/apackets/*.py``, ``scripts/*.py`` and
+``tests/test_acceptance.py``. A public top-level function or class, or a
+public method of a top-level class, counts as used when some file names it
+outside its own definition: as a name, an attribute or an import (a
+docstring or a comment does not count). Names are matched as strings, not
+resolved, so a name reused elsewhere can hide an unused definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "apackets").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_read(node: ast.AST):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, _DEFINITIONS) and not member.name.startswith("_"):
+                        yield member
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
+    reads = Counter(name for tree in trees.values() for name in _names_read(tree))
+    unused = []
+    for path in PACKAGE:
+        for node in _public_definitions(trees[path]):
+            own = sum(name == node.name for name in _names_read(node))
+            if reads[node.name] == own:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert PACKAGE
+    assert unused == []
