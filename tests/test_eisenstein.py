@@ -29,6 +29,14 @@ def _ctx(**kwargs):
 # --- global datum --------------------------------------------------------------
 
 
+def test_global_jord_contains():
+    # Condition 1 at half-integral s0 >= 1 is membership of (rho, 2*s0 - 1).
+    jord = GlobalJord((("rho", 3), ("rho2", 4)))
+    assert global_pole_conditions(jord, "rho", Fraction(2), _ctx())[0] is True
+    assert global_pole_conditions(jord, "rho", Fraction(5, 2), _ctx())[0] is False
+    assert global_pole_conditions(jord, "rho3", Fraction(2), _ctx())[0] is False
+
+
 def test_global_jord_rejects_bad_size():
     with pytest.raises(ValueError):
         GlobalJord((("rho", 0),))
@@ -42,10 +50,6 @@ def test_conditions_half_integral_point():
     cond1, cond2 = global_pole_conditions(jord, "rho", Fraction(2), _ctx())
     assert cond1 is True  # (rho, 2*2 - 1) = (rho, 3) is present
     assert cond2 is T  # no size-4 pairs: vacuously true
-    # Size 3 on another label, or rho at another size, is not the pair.
-    jord = GlobalJord((("rho2", 3), ("rho", 4)))
-    cond1, _ = global_pole_conditions(jord, "rho", Fraction(2), _ctx())
-    assert cond1 is False
 
 
 def test_conditions_vanishing_central_value():
