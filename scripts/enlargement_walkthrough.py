@@ -13,9 +13,9 @@ from apackets.core_types import (
     CuspidalLabel,
     GroupKind,
     GroupType,
-    HalfInt,
     Parity,
     PLUS,
+    halfint_str,
     sign_str,
 )
 from apackets.jordan import ArthurParameter, JordanBlock
@@ -75,9 +75,9 @@ def main() -> None:
     print(f"\ncanonical order: {fmt_blocks(ordered)}")
     print(f"order violations: {[v.code for v in violations] or 'none'}")
 
-    s0 = HalfInt(b0 - 1)  # (b0 - 1) / 2
-    print(f"\nnormalization-factor order for ({target.rho}, {a0}) at s0 = {s0}: "
-          f"{r_order(psi, target.rho, a0, s0)}")
+    s0_x2 = b0 - 1  # s0 = (b0 - 1) / 2
+    print(f"\nnormalization-factor order for ({target.rho}, {a0}) at s0 = {halfint_str(s0_x2)}: "
+          f"{r_order(psi, target.rho, a0, s0_x2)}")
 
     packet = enumerate_params(ordered, PLUS)
     print(f"\npacket size on the plus side: {len(packet)}")

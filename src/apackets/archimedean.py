@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core_types import HalfInt
+from .core_types import halfint_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,36 +44,33 @@ def _inf_char_doubles(blocks: Iterable[ArchBlock]) -> list[int]:
     return doubles
 
 
-def inf_char(blocks: Iterable[ArchBlock]) -> tuple[HalfInt, ...]:
-    """Infinitesimal-character multiset of the blocks, sorted descending."""
-    return tuple(HalfInt(d) for d in sorted(_inf_char_doubles(blocks), reverse=True))
+def inf_char(blocks: Iterable[ArchBlock]) -> tuple[int, ...]:
+    """Doubled infinitesimal-character multiset of the blocks, sorted descending."""
+    return tuple(sorted(_inf_char_doubles(blocks), reverse=True))
 
 
 def combined_inf_char(
-    blocks: Iterable[ArchBlock], a_tau: int, s0: HalfInt
-) -> tuple[HalfInt, ...]:
-    """Infinitesimal character of the blocks together with the twisted pair
-    of size-a_tau entries at +-(a_tau-1)/2 + s0 and their negatives.
+    blocks: Iterable[ArchBlock], a_tau: int, s0_x2: int
+) -> tuple[int, ...]:
+    """Doubled infinitesimal character of the blocks together with the twisted
+    pair of size-a_tau entries at +-(a_tau-1)/2 + s0 and their negatives.
 
     The two twisted entries coincide when a_tau = 1 and are then counted
     once (before mirroring).
     """
     if a_tau < 1:
         raise ValueError(f"a_tau must be >= 1, got {a_tau}")
-    doubles = _inf_char_doubles(blocks)
-    for d in {s0.doubled + (a_tau - 1), s0.doubled - (a_tau - 1)}:
-        doubles.append(d)
-        doubles.append(-d)
-    return tuple(HalfInt(d) for d in sorted(doubles, reverse=True))
+    twisted = {s0_x2 + (a_tau - 1), s0_x2 - (a_tau - 1)}
+    doubles = [*_inf_char_doubles(blocks), *twisted, *(-d for d in twisted)]
+    return tuple(sorted(doubles, reverse=True))
 
 
-def is_regular(entries: Iterable[HalfInt]) -> bool:
+def is_regular(entries_x2: Iterable[int]) -> bool:
     """Whether the multiset of entries has no repetition."""
-    counts = Counter(e.doubled for e in entries)
-    return all(c == 1 for c in counts.values())
+    return all(c == 1 for c in Counter(entries_x2).values())
 
 
-def arch_lfactor_order(a_tau: int, a_delta: int, b: int, s0: HalfInt) -> int:
+def arch_lfactor_order(a_tau: int, a_delta: int, b: int, s0_x2: int) -> int:
     """Pole order (<= 0) of the Gamma-factor pair for (a_tau, a_delta, b) at s0.
 
     The two Gamma arguments are s0 - (b-1)/2 + |a_tau - a_delta|/2 and
@@ -85,7 +82,7 @@ def arch_lfactor_order(a_tau: int, a_delta: int, b: int, s0: HalfInt) -> int:
         raise ValueError(
             f"sizes must be >= 1, got a_tau={a_tau}, a_delta={a_delta}, b={b}"
         )
-    base = s0.doubled - (b - 1)
+    base = s0_x2 - (b - 1)
     args = [base + abs(a_tau - a_delta), base + a_tau + a_delta - 2]
     if a_tau == 1 or a_delta == 1:
         args = args[:1]
@@ -93,17 +90,17 @@ def arch_lfactor_order(a_tau: int, a_delta: int, b: int, s0: HalfInt) -> int:
 
 
 def normalization_order(
-    tau_sizes: Sequence[int], blocks: Sequence[ArchBlock], s0: HalfInt
+    tau_sizes: Sequence[int], blocks: Sequence[ArchBlock], s0_x2: int
 ) -> int:
     """Total pole order of the archimedean normalization at s0 > 0: the sum
     of arch_lfactor_order over every (tau size, block) pair."""
-    if s0.doubled <= 0:
-        raise ValueError(f"s0 must be positive, got {s0}")
+    if s0_x2 <= 0:
+        raise ValueError(f"s0 must be positive, got {halfint_str(s0_x2)}")
     for a_tau in tau_sizes:
         if a_tau < 1:
             raise ValueError(f"a_tau must be >= 1, got {a_tau}")
     total = 0
     for a_tau in tau_sizes:
         for blk in blocks:
-            total += arch_lfactor_order(a_tau, blk.a_delta, blk.b, s0)
+            total += arch_lfactor_order(a_tau, blk.a_delta, blk.b, s0_x2)
     return total

@@ -32,7 +32,7 @@ from .core_types import (
     sign_str,
 )
 from .eisenstein import GlobalJord, eisenstein_verdict, residue_verdict
-from .jacquet import JacSequence, Segment, jac_nonvanishing_necessary, jac_normal_form, irreducible_cuspidal_twist
+from .jacquet import JacSequence, jac_nonvanishing_necessary, jac_normal_form, irreducible_cuspidal_twist
 from .jordan import ZERO_TWIST, ArthurParameter, JordanBlock, validate_parameter
 from .lfactors import r_order
 from .packets import (
@@ -587,8 +587,15 @@ def _option_value(parse, expected: str):
     return convert
 
 
+def _fraction(text: str) -> Fraction:
+    # No exponent notation: Fraction('1e999999999') would build 10 ** 999999999.
+    if "e" in text or "E" in text:
+        raise ValueError(text)
+    return Fraction(text)
+
+
 _halfint = _option_value(parse_halfint, "a half-integer such as 3 or -3/2")
-_rational = _option_value(Fraction, "an exact rational such as 3/2")
+_rational = _option_value(_fraction, "an exact rational such as 3/2")
 
 
 def _halfints(text: str) -> tuple:
@@ -743,16 +750,14 @@ def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
         if args.exponents is None:
             raise UsageError("--normal-form requires --exponents")
         nf = jac_normal_form(JacSequence(args.rho or "", args.exponents))
-        return EXIT_OK, {"exponents_x2": [e.doubled for e in nf.exponents]}
+        return EXIT_OK, {"exponents_x2": list(nf.exponents)}
     if None in (args.param, args.rho, args.seg_from, args.seg_to):
         raise UsageError("--nonvanishing requires --param, --rho, --from, and --to")
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    seg = Segment(args.seg_from, args.seg_to)
-    return EXIT_OK, {
-        "nonvanishing_possible": jac_nonvanishing_necessary(entry.parameter, rho, seg)
-    }
+    nonzero = jac_nonvanishing_necessary(entry.parameter, rho, args.seg_from, args.seg_to)
+    return EXIT_OK, {"nonvanishing_possible": nonzero}
 
 
 def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
@@ -774,7 +779,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
         entries = combined_inf_char(blocks, args.a_tau, args.s0)
     else:
         entries = inf_char(blocks)
-    payload: dict[str, Any] = {"entries_x2": [e.doubled for e in entries]}
+    payload: dict[str, Any] = {"entries_x2": list(entries)}
     if args.check_regular:
         payload["regular"] = is_regular(entries)
     return EXIT_OK, payload

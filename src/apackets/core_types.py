@@ -1,8 +1,10 @@
 """Half-integers, signs, cuspidal labels, group types, and declared
 analytic facts shared by every other module.
 
-All values are immutable and all arithmetic is exact; no floating point is
-used anywhere in the package.
+A half-integer x is the doubled int 2x, in the package and at its API alike
+(names end in ``_x2``); ``parse_halfint`` and ``halfint_str`` convert it from
+and to 'n' or 'k/2'. All values are immutable and all arithmetic is exact; no
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -38,35 +40,17 @@ def parse_sign(text: str) -> int:
     raise ValueError(f"not a sign: {text!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class HalfInt:
-    """An element of (1/2)Z, stored as the doubled integer ``2x``.
-
-    The public API takes and returns half-integers as this type; inside the
-    package they are plain doubled ints, so this type carries no arithmetic.
-    """
-
-    doubled: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
-            raise TypeError(f"doubled value must be an int, got {self.doubled!r}")
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self})"
+def halfint_str(doubled: int) -> str:
+    """Render the half-integer ``doubled / 2`` as 'n' or 'k/2'."""
+    return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
-def parse_halfint(text: str) -> HalfInt:
-    """Parse 'n' or 'k/2' (optionally signed) into a HalfInt."""
+def parse_halfint(text: str) -> int:
+    """Parse 'n' or 'k/2' (optionally signed) into the doubled int."""
     text = text.strip()
     if text.endswith("/2"):
-        return HalfInt(int(text[:-2]))
-    return HalfInt(2 * int(text))
+        return int(text[:-2])
+    return 2 * int(text)
 
 
 class Parity(enum.Enum):

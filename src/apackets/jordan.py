@@ -13,9 +13,9 @@ from .core_types import (
     PLUS,
     CuspidalLabel,
     GroupType,
-    HalfInt,
     Violation,
     check_sign,
+    halfint_str,
 )
 
 
@@ -48,7 +48,7 @@ def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
     """Inverse of to_quadruple on doubled coordinates; raises on coordinates
     outside the image."""
     check_sign(zeta)
-    halves = f"A={HalfInt(A_x2)}, B={HalfInt(B_x2)}"
+    halves = f"A={halfint_str(A_x2)}, B={halfint_str(B_x2)}"
     if B_x2 < 0 or A_x2 < B_x2:
         raise ValueError(f"need A >= B >= 0, got {halves}")
     if (A_x2 - B_x2) % 2 != 0:

@@ -8,7 +8,7 @@ acceptance suite checks this exhaustively).
 
 from __future__ import annotations
 
-from .core_types import MINUS, PLUS, HalfInt
+from .core_types import MINUS, PLUS, halfint_str
 from .jordan import ArthurParameter, JordanBlock, Quadruple, to_quadruple, untwisted_blocks
 
 
@@ -49,18 +49,18 @@ def pole_contribution_table(block: Quadruple | JordanBlock, target: Quadruple | 
     return int(hit)
 
 
-def r_order(psi: ArthurParameter, rho: str, a0: int, s0: HalfInt) -> int:
+def r_order(psi: ArthurParameter, rho: str, a0: int, s0_x2: int) -> int:
     """Pole order (<= 0) of the normalization factor for (rho, a0) at s0.
 
     Sums -1 per same-label block contributing a pole at s0 = (b0-1)/2, that
-    is at the size b0 = 2*s0 + 1 >= 2. Blocks are expected untwisted; a
+    is at the size b0 = s0_x2 + 1 >= 2. Blocks are expected untwisted; a
     twisted same-label block raises.
     """
     if a0 < 1:
         raise ValueError(f"a0 must be >= 1, got {a0}")
-    b0 = s0.doubled + 1
+    b0 = s0_x2 + 1
     if b0 < 2:
-        raise ValueError(f"s0 must be positive, got {s0}")
+        raise ValueError(f"s0 must be positive, got {halfint_str(s0_x2)}")
     target = to_quadruple(a0, b0)
     blocks = untwisted_blocks(psi, rho, "passed to pole-order sum")
     return -sum(pole_contribution_table(blk, target) for blk in blocks)

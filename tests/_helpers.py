@@ -26,7 +26,6 @@ from apackets.core_types import (
     CuspidalLabel,
     GroupKind,
     GroupType,
-    HalfInt,
     Parity,
     Violation,
     sign_str,
@@ -45,14 +44,14 @@ from apackets.packets import (
 )
 
 
-def h(n: int) -> HalfInt:
-    """The half-integer equal to the whole number n."""
-    return HalfInt(2 * n)
+def h(n: int) -> int:
+    """The whole number n as a doubled half-integer."""
+    return 2 * n
 
 
-def h2(k: int) -> HalfInt:
-    """The half-integer k/2."""
-    return HalfInt(k)
+def h2(k: int) -> int:
+    """The half-integer k/2 as a doubled int."""
+    return k
 
 
 def label(

@@ -16,7 +16,7 @@ import pytest
 
 from apackets.archimedean import ArchBlock, combined_inf_char, is_regular, arch_lfactor_order, normalization_order
 from apackets.cli import parse_workspace, serialize_workspace
-from apackets.core_types import HalfInt, LContext, MINUS, PLUS, TriBool
+from apackets.core_types import LContext, MINUS, PLUS, TriBool
 from apackets.eisenstein import (
     GlobalJord,
     ResidueOutcome,
@@ -25,7 +25,7 @@ from apackets.eisenstein import (
     global_pole_conditions,
     residue_verdict,
 )
-from apackets.jacquet import JacSequence, Segment, jac_nonvanishing_necessary, jac_normal_form
+from apackets.jacquet import JacSequence, jac_nonvanishing_necessary, jac_normal_form
 from apackets.jordan import JordanBlock, from_quadruple, to_quadruple
 from apackets.lfactors import pole_contribution_interval, pole_contribution_table
 from apackets.packets import (
@@ -151,17 +151,16 @@ def test_criterion_4_normal_form_confluence():
     rng = random.Random(SEED)
     for _ in range(1000):
         word = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 8)))
-        nf = jac_normal_form(JacSequence("r", tuple(HalfInt(d) for d in word)))
-        assert tuple(e.doubled for e in nf.exponents) == commutation_class_min(word), word
+        nf = jac_normal_form(JacSequence("r", word))
+        assert nf.exponents == commutation_class_min(word), word
     print("\nPASS criterion 4: normal form equals the class minimum on 1000 words")
 
 
 # --- criterion 5: the chain search matches exhaustive sequence enumeration ----------
 
 
-def _chain_oracle(quads, seg):
-    start_d = seg.start.doubled
-    stop_abs = abs(seg.stop.doubled)
+def _chain_oracle(quads, start_d, stop_x2):
+    stop_abs = abs(stop_x2)
 
     def signed(q):
         return q.B_x2 if q.zeta == PLUS else -q.B_x2
@@ -200,10 +199,9 @@ def test_criterion_5_chain_criterion_matches_exhaustive_search():
         else:
             start = rng.randint(-8, 8)
         stop = start + 2 * rng.randint(-4, 4)
-        seg = Segment(HalfInt(start), HalfInt(stop))
-        got = jac_nonvanishing_necessary(psi, "r", seg)
-        want = _chain_oracle(quads, seg)
-        assert got == want, (blocks, str(seg))
+        got = jac_nonvanishing_necessary(psi, "r", start, stop)
+        want = _chain_oracle(quads, start, stop)
+        assert got == want, (blocks, start, stop)
         hits += got
     assert 0 < hits < 500  # both outcomes exercised
     print(f"\nPASS criterion 5: chain criterion matches exhaustive search (500 cases, {hits} nonzero)")
@@ -218,7 +216,7 @@ def test_criterion_6_regularity_excludes_poles():
         for a_delta in range(1, 10):
             for b in range(1, 10):
                 for d in range(1, 10):
-                    s0 = HalfInt(d)
+                    s0 = d
                     block = ArchBlock(a_delta, b)
                     if is_regular(combined_inf_char([block], a_tau, s0)):
                         assert arch_lfactor_order(a_tau, a_delta, b, s0) == 0, (
@@ -226,7 +224,7 @@ def test_criterion_6_regularity_excludes_poles():
                         )
                     checked += 1
     # An irregular witness with an actual pole.
-    assert normalization_order([1], [ArchBlock(1, 3)], HalfInt(2)) == -1
+    assert normalization_order([1], [ArchBlock(1, 3)], 2) == -1
     print(f"\nPASS criterion 6: regularity excludes poles across {checked} grid points")
 
 

@@ -13,13 +13,8 @@ from apackets.archimedean import (
     is_regular,
     normalization_order,
 )
-from apackets.core_types import HalfInt
 
 from _helpers import h, h2
-
-
-def _doubles(entries):
-    return [e.doubled for e in entries]
 
 
 # --- blocks ------------------------------------------------------------------
@@ -46,16 +41,16 @@ def test_annotation_is_inert():
 
 
 def test_inf_char_shifted_pair():
-    assert _doubles(inf_char([ArchBlock(3, 2)])) == [3, 1, -1, -3]
+    assert inf_char([ArchBlock(3, 2)]) == (3, 1, -1, -3)
 
 
 def test_inf_char_single_copy_at_size_one():
-    assert _doubles(inf_char([ArchBlock(1, 3)])) == [2, 0, -2]
+    assert inf_char([ArchBlock(1, 3)]) == (2, 0, -2)
 
 
 def test_inf_char_two_blocks():
     entries = inf_char([ArchBlock(5, 1), ArchBlock(1, 3)])
-    assert _doubles(entries) == [4, 2, 0, -2, -4]
+    assert entries == (4, 2, 0, -2, -4)
     assert is_regular(entries)
 
 
@@ -68,15 +63,15 @@ def test_inf_char_entry_count():
 
 def test_combined_inf_char_examples():
     entries = combined_inf_char([ArchBlock(1, 3)], 1, h(1))
-    assert _doubles(entries) == [2, 2, 0, -2, -2]
+    assert entries == (2, 2, 0, -2, -2)
     assert not is_regular(entries)
 
     entries = combined_inf_char([ArchBlock(3, 2)], 1, h(3))
-    assert _doubles(entries) == [6, 3, 1, -1, -3, -6]
+    assert entries == (6, 3, 1, -1, -3, -6)
     assert is_regular(entries)
 
     entries = combined_inf_char([], 2, h2(1))
-    assert _doubles(entries) == [2, 0, 0, -2]
+    assert entries == (2, 0, 0, -2)
     assert not is_regular(entries)
 
 
@@ -118,7 +113,7 @@ def test_arch_lfactor_order_range():
         for a_delta in range(1, 7):
             for b in range(1, 7):
                 for d in range(-8, 9):
-                    order = arch_lfactor_order(a_tau, a_delta, b, HalfInt(d))
+                    order = arch_lfactor_order(a_tau, a_delta, b, d)
                     assert order in (0, -1, -2)
                     if a_tau == 1 or a_delta == 1:
                         assert order in (0, -1)
@@ -155,8 +150,7 @@ def test_normalization_order_rejects_nonpositive_s0():
     st.integers(1, 6),
     st.integers(1, 8),
 )
-def test_regular_combined_character_means_no_pole(a_tau, a_delta, b, s0_doubled):
-    s0 = HalfInt(s0_doubled)
+def test_regular_combined_character_means_no_pole(a_tau, a_delta, b, s0_x2):
     block = ArchBlock(a_delta, b)
-    if is_regular(combined_inf_char([block], a_tau, s0)):
-        assert arch_lfactor_order(a_tau, a_delta, b, s0) == 0
+    if is_regular(combined_inf_char([block], a_tau, s0_x2)):
+        assert arch_lfactor_order(a_tau, a_delta, b, s0_x2) == 0

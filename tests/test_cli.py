@@ -27,7 +27,7 @@ from apackets.cli import (
     run,
     serialize_workspace,
 )
-from apackets.core_types import HalfInt
+from apackets.core_types import halfint_str
 from apackets.jordan import ZERO_TWIST, JordanBlock
 from _helpers import blk, closed_form_count, packet_list_json, respects_commutation_order
 
@@ -661,7 +661,7 @@ def test_jac_normal_form_twenty_thousand_letters(capsys):
     # the O(n log n) heap-driven sort.
     rng = random.Random(41)
     word = [rng.randint(-60, 60) for _ in range(20_000)]
-    exponents = ",".join(str(HalfInt(d)) for d in word)
+    exponents = ",".join(halfint_str(d) for d in word)
     code, payload = _run_json(capsys, "jac", "--normal-form", f"--exponents={exponents}")
     assert code == EXIT_OK
     assert respects_commutation_order(word, payload["exponents_x2"])
@@ -980,6 +980,16 @@ def test_eisenstein_holomorphic(capsys):
     assert payload == {"kind": "holomorphic", "cond1": False, "cond2": "false"}
 
 
+def test_eisenstein_s0_exact_forms(capsys):
+    # Decimals and fractions are the same exact rational; a value outside the
+    # domain is a domain failure, not a usage error.
+    argv = ("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r", "--s0")
+    assert _run(capsys, *argv, "1.5") == _run(capsys, *argv, "3/2")
+    assert _run(capsys, *argv, "2")[0] == EXIT_OK
+    code, payload = _run_json(capsys, *argv, "-1/2")
+    assert (code, payload) == (EXIT_FAIL, {"error": "s0 must be >= 1/2, got -1/2"})
+
+
 @pytest.mark.parametrize(
     "prefix, option, value",
     [
@@ -1014,9 +1024,13 @@ def test_negative_option_values(capsys, prefix, option, value):
         (("infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1"), "--s0", "half"),
         (("arch-order", "-w", str(DEMO), "--arch", "AR", "--a-tau", "2"), "--s0", "5/4"),
         (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1/0"),
+        # Fraction would expand an exponent as 10 ** e, so a short value
+        # such as 1e999999999 could run for hours: no exponent notation.
+        (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1e5"),
+        (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1E-3"),
     ],
     ids=["irreducible-x", "pole-order-s0", "jac-exponents", "jac-from", "infchar-s0",
-         "arch-order-s0", "eisenstein-s0"],
+         "arch-order-s0", "eisenstein-s0", "eisenstein-s0-1e5", "eisenstein-s0-1E-3"],
 )
 def test_malformed_number_option_is_a_usage_error(capsys, argv, option, value):
     code, out, err = _run(capsys, *argv, f"{option}={value}")

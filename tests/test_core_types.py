@@ -10,12 +10,12 @@ from apackets.core_types import (
     CuspidalLabel,
     GroupKind,
     GroupType,
-    HalfInt,
     LContext,
     Parity,
     TriBool,
     Violation,
     check_sign,
+    halfint_str,
     kleene_and,
     parse_halfint,
     parse_sign,
@@ -56,28 +56,24 @@ def test_parse_sign():
 
 
 def test_halfint_basics():
-    assert str(h2(3)) == "3/2"
-    assert str(h(2)) == "2"
-
-
-def test_halfint_rejects_non_int_doubled():
-    with pytest.raises(TypeError):
-        HalfInt(1.5)
-    with pytest.raises(TypeError):
-        HalfInt(True)
+    assert halfint_str(h2(3)) == "3/2"
+    assert halfint_str(h2(-1)) == "-1/2"
+    assert halfint_str(h(2)) == "2"
+    assert halfint_str(h(-2)) == "-2"
+    assert halfint_str(0) == "0"
 
 
 @given(st.integers(-1000, 1000))
 def test_parse_halfint_roundtrip(d):
-    x = HalfInt(d)
-    assert parse_halfint(str(x)) == x
+    assert parse_halfint(halfint_str(d)) == d
 
 
 def test_parse_halfint_forms():
-    assert parse_halfint("3/2") == h2(3)
-    assert parse_halfint("-5/2") == h2(-5)
-    assert parse_halfint("4") == h(4)
-    assert parse_halfint(" -2 ") == h(-2)
+    assert parse_halfint("3/2") == 3
+    assert parse_halfint("-5/2") == -5
+    assert parse_halfint("4") == 8
+    assert parse_halfint(" -2 ") == -4
+    assert parse_halfint("-4/2") == -4
 
 
 # --- labels, parities, groups ------------------------------------------------

@@ -9,30 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apackets.core_types import HalfInt
 from apackets.jordan import ArthurParameter, JordanBlock
 from apackets.jacquet import (
     IrredVerdict,
     JacSequence,
-    Segment,
     irreducible_cuspidal_twist,
     jac_nonvanishing_necessary,
     jac_normal_form,
 )
 
 from _helpers import blk, commutation_class_min, greedy_normal_form, h, h2, sp, sp_param
-
-
-# --- segments ------------------------------------------------------------------
-
-
-def test_segment_str():
-    assert str(Segment(h2(1), h2(5))) == "[1/2, 5/2]"
-
-
-def test_segment_mixed_class_raises():
-    with pytest.raises(ValueError):
-        Segment(h(0), h2(1))
 
 
 # --- commutation and normal form --------------------------------------------------
@@ -56,9 +42,9 @@ def test_jac_normal_form_keeps_label_and_empty():
 @settings(max_examples=200)
 @given(st.lists(st.integers(-6, 6), max_size=6))
 def test_jac_normal_form_is_class_minimum(doubles):
-    seq = JacSequence("r", tuple(HalfInt(d) for d in doubles))
+    seq = JacSequence("r", tuple(doubles))
     nf = jac_normal_form(seq)
-    got = tuple(e.doubled for e in nf.exponents)
+    got = nf.exponents
     assert got == commutation_class_min(tuple(doubles))
     assert sorted(got) == sorted(doubles)  # permutation of the input
     assert jac_normal_form(nf) == nf  # idempotent
@@ -69,8 +55,8 @@ def test_jac_normal_form_matches_greedy_oracle():
     rng = random.Random(20091)
     for _ in range(2000):
         word = tuple(rng.randint(-8, 8) for _ in range(rng.randint(0, 12)))
-        nf = jac_normal_form(JacSequence("r", tuple(HalfInt(d) for d in word)))
-        assert tuple(e.doubled for e in nf.exponents) == greedy_normal_form(word), word
+        nf = jac_normal_form(JacSequence("r", word))
+        assert nf.exponents == greedy_normal_form(word), word
 
 
 # --- chain condition ---------------------------------------------------------------
@@ -78,28 +64,28 @@ def test_jac_normal_form_matches_greedy_oracle():
 
 def test_chain_condition_two_step():
     psi = sp_param([blk("r", 4, 2), blk("r", 8, 2)])
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(4))) is True
+    assert jac_nonvanishing_necessary(psi, "r", h(1), h(4)) is True
 
 
 def test_chain_condition_single_block_fails():
     psi = sp_param([blk("r", 4, 2)])
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(4))) is False
+    assert jac_nonvanishing_necessary(psi, "r", h(1), h(4)) is False
 
 
 def test_chain_condition_no_starting_block():
     psi = sp_param([blk("r", 4, 2), blk("r", 8, 2)])
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(2), h(4))) is False
+    assert jac_nonvanishing_necessary(psi, "r", h(2), h(4)) is False
 
 
 def test_chain_condition_negative_start():
     psi = sp_param([blk("r", 2, 4)])
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(-1), h(2))) is True
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(2))) is False
+    assert jac_nonvanishing_necessary(psi, "r", h(-1), h(2)) is True
+    assert jac_nonvanishing_necessary(psi, "r", h(1), h(2)) is False
 
 
 def test_chain_condition_ignores_other_labels():
     psi = ArthurParameter(sp(17), (blk("r", 4, 2), blk("rs", 8, 2)))
-    assert jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(4))) is False
+    assert jac_nonvanishing_necessary(psi, "r", h(1), h(4)) is False
 
 
 def test_chain_condition_rejects_twisted_blocks():
@@ -107,8 +93,18 @@ def test_chain_condition_rejects_twisted_blocks():
         sp(8), (JordanBlock("r", 2, 2, Fraction(1, 4)),)
     )
     with pytest.raises(ValueError) as err:
-        jac_nonvanishing_necessary(psi, "r", Segment(h(1), h(1)))
+        jac_nonvanishing_necessary(psi, "r", h(1), h(1))
     assert str(err.value) == "twisted block (r,2,2;x=1/4) in chain search"
+
+
+def test_chain_condition_rejects_mixed_class_segment():
+    # Ends differing by a non-integer: the segment check fires first, even
+    # on a parameter whose twisted block the chain search would reject.
+    twisted = ArthurParameter(sp(8), (JordanBlock("r", 2, 2, Fraction(1, 4)),))
+    for psi in (sp_param([blk("r", 4, 2)]), twisted):
+        with pytest.raises(ValueError) as err:
+            jac_nonvanishing_necessary(psi, "r", h(0), h2(1))
+        assert str(err.value) == "segment endpoints must differ by an integer, got [0, 1/2]"
 
 
 # --- irreducibility ----------------------------------------------------------------

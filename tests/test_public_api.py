@@ -1,5 +1,5 @@
 """Every public name in the package is read by a command, a script or an
-acceptance criterion.
+acceptance criterion, and the package is exact and stdlib-only.
 
 The check parses ``src/apackets/*.py``, ``scripts/*.py`` and
 ``tests/test_acceptance.py``. A public top-level function or class, or a
@@ -10,12 +10,14 @@ resolved, so a name reused elsewhere can hide an unused definition.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "apackets").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+TREES = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -41,13 +43,40 @@ def _public_definitions(tree: ast.Module):
 
 
 def test_every_public_name_is_read_outside_its_definition():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
-    reads = Counter(name for tree in trees.values() for name in _names_read(tree))
+    reads = Counter(name for tree in TREES.values() for name in _names_read(tree))
     unused = []
     for path in PACKAGE:
-        for node in _public_definitions(trees[path]):
+        for node in _public_definitions(TREES[path]):
             own = sum(name == node.name for name in _names_read(node))
             if reads[node.name] == own:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert PACKAGE
     assert unused == []
+
+
+def _imported_roots(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module.partition(".")[0]]
+    return []
+
+
+def test_package_imports_only_the_stdlib_and_uses_no_floats():
+    """Each module imports only the standard library or its own package, and
+    no float enters: no float literal, no name ``float``, no ``/`` or ``/=``.
+    Exact division is ``//`` on ints or ``Fraction(n, d)``."""
+    faults = []
+    for path in PACKAGE:
+        for node in ast.walk(TREES[path]):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            faults += [f"{where} imports {root}" for root in _imported_roots(node)
+                       if root not in sys.stdlib_module_names and root != "apackets"]
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                faults.append(f"{where} float literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                faults.append(f"{where} names float")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                faults.append(f"{where} true division")
+    assert PACKAGE
+    assert faults == []
