@@ -97,7 +97,7 @@ def test_chain_condition_rejects_twisted_blocks():
     assert str(err.value) == "twisted block (r,2,2;x=1/4) in chain search"
 
 
-def test_chain_condition_rejects_mixed_class_segment():
+def test_segment_mixed_class_raises():
     # Ends differing by a non-integer: the segment check fires first, even
     # on a parameter whose twisted block the chain search would reject.
     twisted = ArthurParameter(sp(8), (JordanBlock("r", 2, 2, Fraction(1, 4)),))
@@ -105,6 +105,19 @@ def test_chain_condition_rejects_mixed_class_segment():
         with pytest.raises(ValueError) as err:
             jac_nonvanishing_necessary(psi, "r", h(0), h2(1))
         assert str(err.value) == "segment endpoints must differ by an integer, got [0, 1/2]"
+
+
+def test_segment_str():
+    # The segment error message prints each end as 'n' or 'k/2', in order.
+    psi = sp_param([blk("r", 4, 2)])
+    for start_x2, stop_x2, shown in (
+        (h(1), h2(3), "[1, 3/2]"),
+        (h2(1), h(2), "[1/2, 2]"),
+        (h2(-5), h(-1), "[-5/2, -1]"),
+    ):
+        with pytest.raises(ValueError) as err:
+            jac_nonvanishing_necessary(psi, "r", start_x2, stop_x2)
+        assert str(err.value) == f"segment endpoints must differ by an integer, got {shown}"
 
 
 # --- irreducibility ----------------------------------------------------------------
