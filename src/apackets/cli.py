@@ -137,8 +137,10 @@ class _Table:
             raise WorkspaceError("", str(exc)) from None
 
 
+# Every JSON array becomes a tuple here, the one sequence type of a record's
+# fields, so no record copies what it is given.
 def _list_of(convert):
-    def convert_list(value: Any, ctx: dict) -> list:
+    def convert_list(value: Any, ctx: dict) -> tuple:
         items = _array(value)
         out = []
         k = 0
@@ -147,7 +149,7 @@ def _list_of(convert):
                 out.append(convert(item, ctx))
         except WorkspaceError as exc:
             raise _under(k, exc) from None
-        return out
+        return tuple(out)
 
     return convert_list
 
@@ -261,7 +263,7 @@ def _param_entry(got: dict, ctx: dict) -> ParamEntry:
         raise WorkspaceError("", f"'t' and 'eta' must each cover all {n} blocks")
     return ParamEntry(
         parameter=ArthurParameter(group=ctx["group"], blocks=blocks),
-        order=None if order is None else tuple(order),
+        order=order,
         params=None if t is None else PacketParams(t=t, eta=eta),
     )
 
@@ -349,7 +351,7 @@ _ARCH_BLOCK = _Table(
     ("ell", _nullable(_int), None),
 )
 _ARCH = _Table(
-    lambda got, ctx: tuple(got["blocks"]),
+    lambda got, ctx: got["blocks"],
     ("name", _str, _REQUIRED),
     ("blocks", _list_of(_ARCH_BLOCK), _REQUIRED),
 )
@@ -426,8 +428,8 @@ def serialize_workspace(ws: Workspace) -> str:
         },
         "lfacts": {
             "rg_pole_at_1": sorted(ws.lcontext.rg_pole_at_1),
-            "central_nonvanishing": [list(p) for p in sorted(ws.lcontext.nonvanishing_pairs)],
-            "central_vanishing": [list(p) for p in sorted(ws.lcontext.vanishing_pairs)],
+            "central_nonvanishing": sorted(ws.lcontext.nonvanishing_pairs),
+            "central_vanishing": sorted(ws.lcontext.vanishing_pairs),
         },
         "parameters": [],
         "arch": [],
@@ -439,9 +441,9 @@ def serialize_workspace(ws: Workspace) -> str:
             "jord": entry.parameter.blocks,
         }
         if entry.order is not None:
-            pdoc["order"] = list(entry.order)
+            pdoc["order"] = entry.order
         if entry.params is not None:
-            pdoc["t"] = list(entry.params.t)
+            pdoc["t"] = entry.params.t
             pdoc["eta"] = [sign_str(e) for e in entry.params.eta]
         doc["parameters"].append(pdoc)
     for name, blocks in ws.arch.items():
@@ -717,7 +719,7 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
             "jord": psi_plus.blocks,
         },
         "order": new_order,
-        "t": list(new_params.t),
+        "t": new_params.t,
         "eta": [sign_str(e) for e in new_params.eta],
         "pivot": {
             "position": pivot_pos,
@@ -750,7 +752,7 @@ def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
         if args.exponents is None:
             raise UsageError("--normal-form requires --exponents")
         nf = jac_normal_form(JacSequence(args.rho or "", args.exponents))
-        return EXIT_OK, {"exponents_x2": list(nf.exponents)}
+        return EXIT_OK, {"exponents_x2": nf.exponents}
     if None in (args.param, args.rho, args.seg_from, args.seg_to):
         raise UsageError("--nonvanishing requires --param, --rho, --from, and --to")
     ws = _load_workspace(args)
@@ -779,7 +781,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
         entries = combined_inf_char(blocks, args.a_tau, args.s0)
     else:
         entries = inf_char(blocks)
-    payload: dict[str, Any] = {"entries_x2": list(entries)}
+    payload: dict[str, Any] = {"entries_x2": entries}
     if args.check_regular:
         payload["regular"] = is_regular(entries)
     return EXIT_OK, payload
@@ -788,7 +790,7 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_arch_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     blocks = _lookup(ws.arch, args.arch, "unknown arch input")
-    return EXIT_OK, {"order": normalization_order(tuple(args.a_tau), blocks, args.s0)}
+    return EXIT_OK, {"order": normalization_order(args.a_tau, blocks, args.s0)}
 
 
 _TRIBOOL_FLAGS = {"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}

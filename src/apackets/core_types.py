@@ -35,7 +35,7 @@ def parse_sign(text: str) -> int:
     """Parse '+', '-', '+1', '-1' into +1 or -1."""
     if text in ("+", "+1"):
         return PLUS
-    if text in ("-", "-1", "−"):
+    if text in ("-", "-1"):
         return MINUS
     raise ValueError(f"not a sign: {text!r}")
 

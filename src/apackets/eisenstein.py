@@ -20,7 +20,6 @@ class GlobalJord:
     pairs: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((r, b) for r, b in self.pairs))
         for rho, b in self.pairs:
             if b < 1:
                 raise ValueError(f"size must be >= 1, got ({rho!r}, {b})")

@@ -18,9 +18,6 @@ class JacSequence:
     rho: str
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-
 
 # Adjacent exponents x, y may be swapped exactly when |x - y| > 1: doubled
 # exponents at most this far apart do not commute.

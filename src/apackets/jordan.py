@@ -107,9 +107,6 @@ class ArthurParameter:
     group: GroupType
     blocks: tuple[JordanBlock, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-
     def standard_dim(self, labels: Mapping[str, CuspidalLabel]) -> int:
         total = 0
         for blk in self.blocks:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core_types import MINUS, PLUS, Violation, check_sign, sign_str
 from .jordan import JordanBlock, Quadruple, to_quadruple
@@ -116,58 +116,19 @@ def admissible_pairs(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-_SIGNS = frozenset((PLUS, MINUS))
-
-
-@dataclass(frozen=True, slots=True)
-class PacketParams:
-    """Packet coordinates: one (t, eta) per block, aligned with the order."""
+class PacketParams(NamedTuple):
+    """Packet coordinates: one (t, eta) per block, aligned with the order.
+    It checks nothing itself: ``validate_params`` and ``apply_transfer``
+    check coverage and signs where they read them."""
 
     t: tuple[int, ...]
     eta: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.t) is not tuple:
-            object.__setattr__(self, "t", tuple(self.t))
-        if type(self.eta) is not tuple:
-            object.__setattr__(self, "eta", tuple(self.eta))
-        if len(self.t) != len(self.eta):
-            raise ValueError(
-                f"t and eta lengths differ: {len(self.t)} vs {len(self.eta)}"
-            )
-        # One pass in C for the common case; check_sign names the first bad
-        # entry. A bool equals a sign in a set, and a list cannot be hashed.
-        try:
-            signs = _SIGNS.issuperset(self.eta) and bool not in map(type, self.eta)
-        except TypeError:
-            signs = False
-        if not signs:
-            for e in self.eta:
-                check_sign(e)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
     def check_covers(self, blocks: Sequence[JordanBlock]) -> None:
-        """Raise unless there is one (t, eta) per block of the order."""
-        if len(self) != len(blocks):
-            raise ValueError(f"params cover {len(self)} blocks, order has {len(blocks)}")
-
-
-# The slot setters of the two fields, which a frozen instance's own
-# __setattr__ refuses; bound once for _member.
-_new = object.__new__
-_set_t = PacketParams.__dict__["t"].__set__
-_set_eta = PacketParams.__dict__["eta"].__set__
-
-
-def _member(t: tuple[int, ...], eta: tuple[int, ...]) -> PacketParams:
-    """A PacketParams from tuples this module built from admissible_pairs and
-    the sign rule, without the constructor's checks, which they pass."""
-    p = _new(PacketParams)
-    _set_t(p, t)
-    _set_eta(p, eta)
-    return p
+        """Raise unless t and eta each hold one entry per block of the order."""
+        for name, values in zip(self._fields, self):
+            if len(values) != len(blocks):
+                raise ValueError(f"{name} covers {len(values)} blocks, order has {len(blocks)}")
 
 
 def validate_params(
@@ -238,7 +199,7 @@ def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[Packe
         ts = tuple(t for t, _, _ in choice)
         etas = tuple(eta for _, eta, _ in choice)
         for t, eta in completing[product]:
-            found.append(_member(ts + (t,), etas + (eta,)))
+            found.append(PacketParams(ts + (t,), etas + (eta,)))
     return tuple(found)
 
 

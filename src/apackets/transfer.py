@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .core_types import CuspidalLabel, GroupType, MINUS, PLUS
+from .core_types import CuspidalLabel, GroupType, MINUS, PLUS, check_sign
 from .jordan import ArthurParameter, JordanBlock, good_parity
 from .packets import (
     PSI_SIDE,
@@ -39,9 +39,10 @@ def build_psi_plus(
     re-checked against the enlarged group.
     """
     check_target_parity(target, psi.group, labels)
-    if psi.standard_dim(labels) != psi.group.rank_dim:
+    dim = psi.standard_dim(labels)
+    if dim != psi.group.rank_dim:
         raise ValueError(
-            f"input parameter dimension {psi.standard_dim(labels)} does not match "
+            f"input parameter dimension {dim} does not match "
             f"group dimension {psi.group.rank_dim}"
         )
 
@@ -118,9 +119,12 @@ def apply_transfer(
     recomputed; every other position keeps its block and coordinates. For
     b0 = 2 there is no place to take: ``insert_position`` must say where the
     fresh block and its coordinates go (otherwise this raises), and it is
-    ignored for b0 > 2.
+    ignored for b0 > 2. Raises unless ``params`` cover the blocks and every
+    eta is a sign.
     """
     params.check_covers(blocks)
+    for eta in params.eta:
+        check_sign(eta)
     order, t_list, eta_list = list(blocks), list(params.t), list(params.eta)
     if target.b0 == 2:
         if insert_position is None:

@@ -500,6 +500,86 @@ def test_fixture_files_are_canonical():
         assert serialize_workspace(parse_workspace(text)) == text
 
 
+def _random_workspace(rng):
+    """A workspace document that parses: every schema key, each optional one
+    now and then absent, with values in each accepted spelling."""
+    labels = [
+        {"id": "r", "dim": 1, "self_dual": True, "parity": "orthogonal"},
+        {"id": "s", "dim": 2, "self_dual": True, "parity": "symplectic"},
+        {"id": "u", "dim": 2, "self_dual": False, "parity": None},
+        {"id": "w", "dim": 3, "self_dual": True},
+    ]
+    doc = {"labels": rng.sample(labels, rng.randint(1, len(labels)))}
+    ids = [lab["id"] for lab in doc["labels"]]
+    self_dual = [lab["id"] for lab in doc["labels"] if lab["self_dual"]]
+    group = {"kind": rng.choice(["SOodd", "Sp", "Oeven"]), "m_star": rng.randint(1, 99)}
+    if rng.random() < 0.5:
+        group["epsilon"] = rng.choice(["+", "-", "+1", "-1"])
+    doc["group"] = group
+
+    def pairs():
+        return [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 3))]
+
+    roll = rng.random()
+    if roll < 0.2:
+        doc["lfacts"] = None
+    elif roll < 0.8:
+        facts = {"rg_pole_at_1": rng.sample(ids, rng.randint(0, len(ids)))}
+        facts["central_nonvanishing"] = pairs()
+        known = {tuple(sorted(p)) for p in facts["central_nonvanishing"]}
+        facts["central_vanishing"] = [p for p in pairs() if tuple(sorted(p)) not in known]
+        doc["lfacts"] = {k: v for k, v in facts.items() if rng.random() < 0.8}
+    if rng.random() < 0.8:
+        doc["parameters"] = []
+        for k in range(rng.randint(0, 3)):
+            jord = []
+            for _ in range(rng.randint(0, 6)):
+                row = {"rho": rng.choice(ids), "a": rng.randint(1, 9), "b": rng.randint(1, 9)}
+                if rng.random() < 0.3:  # |num / den| < 1/2, not always reduced
+                    den = rng.randint(1, 12)
+                    row["twist_num"] = rng.randint(-((den - 1) // 2), (den - 1) // 2)
+                    row["twist_den"] = den
+                jord.append(row)
+            entry = {"name": f"P{k}", "jord": jord}
+            if rng.random() < 0.5:
+                entry["order"] = rng.sample(range(len(jord)), len(jord))
+            if rng.random() < 0.5:
+                entry["t"] = [rng.randint(0, 4) for _ in jord]
+                entry["eta"] = [rng.choice(["+", "-", "+1", "-1"]) for _ in jord]
+            doc["parameters"].append(entry)
+    if rng.random() < 0.7:
+        doc["arch"] = [
+            {"name": f"A{k}", "blocks": [
+                {"a_delta": rng.randint(1, 9), "b": rng.randint(1, 9),
+                 **rng.choice([{}, {"ell": None}, {"ell": rng.randint(-5, 5)}])}
+                for _ in range(rng.randint(0, 4))
+            ]}
+            for k in range(rng.randint(0, 2))
+        ]
+    if self_dual and rng.random() < 0.7:
+        doc["global"] = [
+            {"name": f"G{k}", "pairs": [
+                {"rho": rng.choice(self_dual), "b": rng.randint(1, 9)}
+                for _ in range(rng.randint(0, 4))
+            ]}
+            for k in range(rng.randint(0, 2))
+        ]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_serialize_is_a_fixed_point_on_random_workspaces(seed):
+    """Writing a parsed workspace and parsing it back gives the same
+    workspace, and writing that gives the same bytes."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        ws = parse_workspace(_random_workspace(rng))
+        text = serialize_workspace(ws)
+        again = parse_workspace(text)
+        assert again == ws, text
+        assert serialize_workspace(again) == text
+
+
 def test_serialize_emits_defaults_and_sorted_facts():
     out = serialize_workspace(parse_workspace(_minimal()))
     doc = json.loads(out)
@@ -562,6 +642,15 @@ def test_validate_unknown_parameter_is_an_error(capsys):
     code, payload = _run_json(capsys, "validate", "-w", str(DEMO), "--param", "NOPE")
     assert code == EXIT_FAIL
     assert "NOPE" in payload["error"]
+
+
+def test_minus_sign_character_is_not_a_sign(capsys, tmp_path):
+    # Only '+', '-', '+1' and '-1' spell a sign; U+2212 MINUS SIGN does not.
+    bad = tmp_path / "ws.json"
+    bad.write_text(_param_doc([{"rho": "r", "a": 1, "b": 1}], t=[0], eta=["\u2212"]))
+    code, payload = _run_json(capsys, "validate", "-w", str(bad))
+    assert code == EXIT_FAIL
+    assert payload == {"error": "/parameters/0/eta/0: not a sign: '\u2212'"}
 
 
 def test_validate_schema_error_payload(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Half-integers, signs, labels, groups, and declared facts."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,8 +50,9 @@ def test_parse_sign():
     assert parse_sign("+1") == PLUS
     assert parse_sign("-") == MINUS
     assert parse_sign("-1") == MINUS
-    with pytest.raises(ValueError):
-        parse_sign("0")
+    for text in ("0", "\u2212", "\u22121", "plus"):
+        with pytest.raises(ValueError, match=re.escape(f"not a sign: {text!r}")):
+            parse_sign(text)
 
 
 # --- half-integers ----------------------------------------------------------

@@ -28,6 +28,7 @@ from apackets.packets import (
     validate_order,
     validate_params,
 )
+from apackets.transfer import apply_transfer
 from _helpers import (
     blk,
     canonical_order_by_remove,
@@ -93,24 +94,38 @@ def test_validate_params_length_mismatch_raises():
         validate_params([blk("r", 1, 1)], PacketParams((0, 0), (PLUS, PLUS)), PLUS)
 
 
+# PacketParams checks nothing itself: the two functions that read packet
+# coordinates check them. Three blocks whose pivot for _TARGET is position 0,
+# so a fault at position 1 is found only by a check of every entry.
+_THREE_BLOCKS = (blk("r", 4, 1), blk("r", 2, 1), blk("r", 6, 1))
+_TARGET = TargetTriple("r", 4, 3)
+
+
+def _readers(params):
+    """validate_params and apply_transfer on ``params``, each as a thunk."""
+    return (
+        lambda: validate_params(_THREE_BLOCKS, params, PLUS),
+        lambda: apply_transfer(_THREE_BLOCKS, params, _TARGET),
+    )
+
+
 def test_packet_params_validation():
-    with pytest.raises(ValueError):
-        PacketParams((0,), (PLUS, MINUS))
-    with pytest.raises(ValueError):
-        PacketParams((0,), (0,))
+    for t, eta, message in [
+        ((0, 0), (PLUS, PLUS, PLUS), "t covers 2 blocks, order has 3"),
+        ((0, 0, 0), (PLUS, MINUS), "eta covers 2 blocks, order has 3"),
+        ((0,), (PLUS, MINUS), "t covers 1 blocks, order has 3"),
+    ]:
+        for read in _readers(PacketParams(t, eta)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read()
 
 
 @pytest.mark.parametrize("bad", [0, 2, True, False, "+", [1], None])
 def test_packet_params_names_the_first_bad_sign(bad):
     # True equals PLUS and a list cannot be hashed; both are still no sign.
-    with pytest.raises(ValueError, match=re.escape(f"not a sign (+1/-1): {bad!r}")):
-        PacketParams((0, 0, 0), (PLUS, bad, MINUS))
-
-
-def test_packet_params_coerces_sequences_to_tuples():
-    p = PacketParams([0, 1], [PLUS, MINUS])
-    assert (p.t, p.eta) == ((0, 1), (PLUS, MINUS))
-    assert p == PacketParams(range(2), iter((PLUS, MINUS)))
+    for read in _readers(PacketParams((0, 0, 0), (PLUS, bad, MINUS))):
+        with pytest.raises(ValueError, match=re.escape(f"not a sign (+1/-1): {bad!r}")):
+            read()
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -209,10 +224,7 @@ def test_enumeration_order_matches_brute_force(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
     found = enumerate_params(blocks, epsilon)
     assert [tuple(zip(p.t, p.eta)) for p in found] == _brute_force(blocks, epsilon)
-    # Members skip the constructor's checks; each is still the one it builds.
     for p in found:
-        rebuilt = PacketParams(list(p.t), list(p.eta))
-        assert p == rebuilt and hash(p) == hash(rebuilt)
         assert type(p.t) is type(p.eta) is tuple
         assert all(type(e) is int and e in (PLUS, MINUS) for e in p.eta)
         assert validate_params(blocks, p, epsilon) == []
