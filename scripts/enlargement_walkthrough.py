@@ -70,7 +70,7 @@ def main() -> None:
     print(f"blocks: {fmt_blocks(psi.blocks)}")
     print(f"target: {target}")
 
-    ordered = canonical_order(psi.blocks, target, PSI_SIDE)
+    ordered = [psi.blocks[k] for k in canonical_order(psi.blocks, target, PSI_SIDE)]
     violations = validate_order(ordered, target, PSI_SIDE)
     print(f"\ncanonical order: {fmt_blocks(ordered)}")
     print(f"order violations: {[v.code for v in violations] or 'none'}")
@@ -92,9 +92,10 @@ def main() -> None:
     insert = None
     if prime is None:
         # The fresh block goes where the enlarged side's canonical order puts it.
-        plus_order = canonical_order(psi_plus.blocks, target, PSI_PLUS_SIDE)
+        plus_order = [psi_plus.blocks[k]
+                      for k in canonical_order(psi_plus.blocks, target, PSI_PLUS_SIDE)]
         insert = locate_pivot(plus_order, target, PSI_PLUS_SIDE)
-    new_order, new_params = apply_transfer(ordered, params, target, insert_position=insert)
+    new_order, new_params, pivot = apply_transfer(ordered, params, target, insert_position=insert)
     print(f"\ntransported order: {fmt_blocks(new_order)}")
     print(f"transported coordinates: t = {list(new_params.t)}, "
           f"eta = {[sign_str(e) for e in new_params.eta]}")
@@ -102,8 +103,7 @@ def main() -> None:
           f"{[v.code for v in validate_order(new_order, target, PSI_PLUS_SIDE)] or 'none'}")
 
     if prime is not None:
-        pivot_idx = locate_pivot(ordered, target, PSI_SIDE)
-        t0, eta0 = params.t[pivot_idx], params.eta[pivot_idx]
+        t0, eta0 = params.t[pivot], params.eta[pivot]
         print(f"\nsign identity for the pivot (t0={t0}, eta0={sign_str(eta0)}): "
               f"{check_sign_identity(a0, b0, t0, eta0)}")
 

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from .archimedean import ArchBlock, combined_inf_char, inf_char, is_regular, normalization_order
@@ -43,7 +42,7 @@ from .packets import (
     canonical_order,
     count_params,
     enumerate_params,
-    locate_pivot,
+    locate_pivot,  # unused here, but perfbench/tracer.py wraps it in this module
     validate_order,
     validate_params,
 )
@@ -662,11 +661,6 @@ def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict | str]:
     return EXIT_OK, _packet_list_json(epsilon, blocks, members)
 
 
-# Equal exactly when the blocks are, and cheaper to hash than a block, whose
-# hash hashes its Fraction.
-_block_fields = attrgetter("rho", "a", "b", "twist.numerator", "twist.denominator")
-
-
 def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
@@ -677,14 +671,9 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
         return (EXIT_FAIL if violations else EXIT_OK), {
             "violations": _violation_docs(violations)
         }
-    co = canonical_order(entry.parameter.blocks, target, args.side)
-    # Equal blocks take their original indices in ascending order.
-    positions: dict[tuple, list[int]] = {}
-    for k, blk in enumerate(entry.parameter.blocks):
-        positions.setdefault(_block_fields(blk), []).append(k)
-    unused = {key: iter(ks) for key, ks in positions.items()}
-    indices = [next(unused[_block_fields(blk)]) for blk in co]
-    return EXIT_OK, {"indices": indices, "blocks": co}
+    blocks = entry.parameter.blocks
+    indices = canonical_order(blocks, target, args.side)
+    return EXIT_OK, {"indices": indices, "blocks": [blocks[k] for k in indices]}
 
 
 def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
@@ -706,13 +695,13 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
         raise ValueError(f"parameter {args.param!r} declares no packet coordinates (t/eta)")
     psi_plus = build_psi_plus(entry.parameter, target, ws.labels)
     ordered = entry.ordered()
-    new_order, new_params = apply_transfer(
+    # Only admissible coordinates are transported; the order is not validated.
+    violations = validate_params(ordered, entry.params, ws.group.epsilon)
+    if violations:
+        raise ValueError(str(violations[0]))
+    new_order, new_params, pivot_pos = apply_transfer(
         ordered, entry.params, target, insert_position=args.insert_position
     )
-    # The position apply_transfer wrote; the order itself is not validated.
-    pivot_pos = locate_pivot(ordered, target, PSI_SIDE)
-    if pivot_pos is None:  # b0 = 2: the fresh block's place
-        pivot_pos = args.insert_position
     return EXIT_OK, {
         "psi_plus": {
             "m_star": psi_plus.group.rank_dim,

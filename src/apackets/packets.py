@@ -7,7 +7,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core_types import MINUS, PLUS, Violation, check_sign, sign_str
 from .jordan import JordanBlock, Quadruple, to_quadruple
@@ -370,22 +370,23 @@ def _canonical_key(block: JordanBlock) -> tuple:
 
 
 def canonical_order(
-    blocks: Iterable[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
-) -> tuple[JordanBlock, ...]:
-    """Deterministic admissible order: A ascending with fixed tie-breaks, and
+    blocks: Sequence[JordanBlock], target: TargetTriple, side: str = PSI_SIDE
+) -> list[int]:
+    """Deterministic admissible order, as indices into ``blocks``: A ascending
+    with fixed tie-breaks (equal blocks keep their input order), and
     ``locate_pivot``'s copy of the pivot placed by its A-threshold (minimal in
     the exceptional case); the plain sort when there is no pivot (b0 = 2)."""
-    rest = list(blocks)
-    pivot = locate_pivot(rest, target, side)
+    keys = [_canonical_key(blk) for blk in blocks]
+    order = sorted(range(len(blocks)), key=keys.__getitem__)
+    pivot = locate_pivot(blocks, target, side)
     if pivot is None:
-        return tuple(sorted(rest, key=_canonical_key))
-    pivot_block = rest.pop(pivot)
-    rest.sort(key=_canonical_key)
+        return order
+    order.remove(pivot)
 
     if target.is_exceptional:
         pos = 0
-    else:  # rest is sorted by A: above A <= A'0 on the small side, A < A0 on the enlarged
+    else:  # order is sorted by A: above A <= A'0 on the small side, A < A0 on the enlarged
         find = bisect.bisect_right if side == PSI_SIDE else bisect.bisect_left
-        pos = find(rest, pivot_block.A_x2, key=lambda blk: blk.A_x2)
-    rest.insert(pos, pivot_block)
-    return tuple(rest)
+        pos = find(order, blocks[pivot].A_x2, key=lambda k: blocks[k].A_x2)
+    order.insert(pos, pivot)
+    return order

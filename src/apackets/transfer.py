@@ -112,8 +112,9 @@ def apply_transfer(
     params: PacketParams,
     target: TargetTriple,
     insert_position: int | None = None,
-) -> tuple[tuple[JordanBlock, ...], PacketParams]:
-    """Transport an order together with its packet coordinates.
+) -> tuple[tuple[JordanBlock, ...], PacketParams, int]:
+    """Transport an order together with its packet coordinates; also return
+    the position of the enlarged block in the transported order.
 
     The enlarged block takes the pivot's place and the pivot's (t, eta) are
     recomputed; every other position keeps its block and coordinates. For
@@ -135,15 +136,16 @@ def apply_transfer(
             raise ValueError(
                 f"insert_position {insert_position} outside [0, {len(order)}]"
             )
-        order.insert(insert_position, target.plus_block())
-        t_plus, eta_plus = transfer_params(0, PLUS, target.a0, 2)
-        t_list.insert(insert_position, t_plus)
-        eta_list.insert(insert_position, eta_plus)
+        pivot = insert_position
+        # A placeholder for the empty shrunken block, at its one pair (0, +).
+        order.insert(pivot, target.plus_block())
+        t_list.insert(pivot, 0)
+        eta_list.insert(pivot, PLUS)
     else:
-        idx = locate_pivot(order, target, PSI_SIDE)
-        assert idx is not None
-        order[idx] = target.plus_block()
-        t_list[idx], eta_list[idx] = transfer_params(
-            t_list[idx], eta_list[idx], target.a0, target.b0
-        )
-    return tuple(order), PacketParams(t=tuple(t_list), eta=tuple(eta_list))
+        pivot = locate_pivot(order, target, PSI_SIDE)
+        assert pivot is not None
+    order[pivot] = target.plus_block()
+    t_list[pivot], eta_list[pivot] = transfer_params(
+        t_list[pivot], eta_list[pivot], target.a0, target.b0
+    )
+    return tuple(order), PacketParams(t=tuple(t_list), eta=tuple(eta_list)), pivot

@@ -37,6 +37,7 @@ from apackets.packets import (
     TargetTriple,
     admissible_pairs,
     block_sign,
+    canonical_order,
     check_constraint1,
     derive_prime_block,
     enumerate_params,
@@ -469,3 +470,8 @@ def canonical_order_by_remove(blocks, target: TargetTriple, side: str = PSI_SIDE
         pos = sum(1 for b in rest if to_quadruple(b.a, b.b).A_x2 < tq.A_x2)
     rest.insert(pos, pivot_block)
     return tuple(rest)
+
+
+def canonical_blocks(blocks, target: TargetTriple, side: str = PSI_SIDE) -> tuple:
+    """The blocks at the positions canonical_order returns, in that order."""
+    return tuple(blocks[k] for k in canonical_order(blocks, target, side))

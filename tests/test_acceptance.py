@@ -39,7 +39,7 @@ from apackets.packets import (
     validate_order,
 )
 from apackets.transfer import check_sign_identity, transfer_params
-from _helpers import commutation_class_min
+from _helpers import canonical_blocks, commutation_class_min
 
 SEED = 20260819
 DATA = Path(__file__).parent / "data"
@@ -304,11 +304,11 @@ def test_criterion_8_round_trips():
             b = rng.choice([v for v in range(1, 9) if (a + v) % 2 == parity])
             blocks.append(_blk(a, b))
         psi_side = blocks + ([target.prime_block()] if b0 > 2 else [])
-        ordered = canonical_order(psi_side, target, PSI_SIDE)
+        ordered = canonical_blocks(psi_side, target, PSI_SIDE)
         assert validate_order(ordered, target, PSI_SIDE) == [], (psi_side, a0, b0)
         cases += 1
         plus_side = blocks + [target.plus_block()]
-        ordered = canonical_order(plus_side, target, PSI_PLUS_SIDE)
+        ordered = canonical_blocks(plus_side, target, PSI_PLUS_SIDE)
         assert validate_order(ordered, target, PSI_PLUS_SIDE) == [], (plus_side, a0, b0)
         cases += 1
     print(f"\nPASS criterion 8: round-trips hold; {cases} canonical orders validate")

@@ -971,6 +971,33 @@ def test_transfer_without_coordinates_is_an_error(capsys):
     assert "t/eta" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "t, eta, message",
+    [
+        ([0, 7], ["+", "-"],
+         "[Constraint1] position 1, block (r,2,1): t=7 outside [0, 0] for block sizes (2, 1)"),
+        ([0, 0], ["+", "-"], "[Constraint2] sign product is -, group requires +"),
+    ],
+    ids=["t-out-of-range", "sign-product"],
+)
+def test_transfer_rejects_inadmissible_coordinates(capsys, tmp_path, t, eta, message):
+    # Transport keeps admissible coordinates admissible; it is not asked to
+    # transport others, and names the first violation that validate reports.
+    doc = json.loads(_param_doc([{"rho": "r", "a": 4, "b": 1}, {"rho": "r", "a": 2, "b": 1}],
+                                t=t, eta=eta))
+    doc["group"]["m_star"] = 6
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(doc))
+    code, payload = _run_json(capsys, "validate", "-w", str(ws))
+    assert code == EXIT_FAIL
+    first = payload["violations"][0]
+    assert f"[{first['code']}] {first['message']}" == message
+    code, payload = _run_json(
+        capsys, "transfer", "-w", str(ws), "--param", "P", "--rho", "r", "--a0", "4", "--b0", "3"
+    )
+    assert (code, payload) == (EXIT_FAIL, {"error": message})
+
+
 def test_jac_normal_form_needs_no_workspace(capsys):
     code, payload = _run_json(capsys, "jac", "--normal-form", "--exponents", "3,1")
     assert code == EXIT_OK
@@ -1143,6 +1170,11 @@ def test_usage_errors_exit_64(capsys):
     assert _run(capsys, "no-such-command")[0] == EXIT_USAGE
     assert _run(capsys, "packet", "-w", str(DEMO))[0] == EXIT_USAGE  # no --param
     assert _run(capsys, "jac", "--normal-form")[0] == EXIT_USAGE  # no --exponents
+    code, out, err = _run(
+        capsys, "jac", "--nonvanishing", "--param", "J", "--rho", "r", "--from", "1", "--to", "4"
+    )  # no --workspace
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "this command requires --workspace" in err
     assert (
         _run(capsys, "infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1")[0]
         == EXIT_USAGE

@@ -31,6 +31,7 @@ from apackets.packets import (
 from apackets.transfer import apply_transfer
 from _helpers import (
     blk,
+    canonical_blocks,
     canonical_order_by_remove,
     closed_form_count,
     sign_dp_count,
@@ -296,6 +297,10 @@ def test_derive_prime_block_examples():
     q = derive_prime_block(3, 4)
     assert (q.A_x2, q.B_x2, q.zeta) == (3, 1, PLUS)
     assert derive_prime_block(5, 3) == to_quadruple(5, 1)
+    for a0, b0 in ((0, 3), (3, 1)):
+        message = f"need a0 >= 1 and b0 >= 2, got ({a0}, {b0})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_prime_block(a0, b0)
 
 
 def test_derive_prime_block_zeta_override():
@@ -460,22 +465,28 @@ _NO_PIVOT = TargetTriple("r", 1, 2)
 
 def test_canonical_order_plain_sort():
     # (1,7) has A = 3; (3,1) has A = 1: ascending A.
-    out = canonical_order([blk("r", 1, 7), blk("r", 3, 1)], _NO_PIVOT, PSI_SIDE)
-    assert out == (blk("r", 3, 1), blk("r", 1, 7))
+    jord = [blk("r", 1, 7), blk("r", 3, 1)]
+    out = canonical_order(jord, _NO_PIVOT, PSI_SIDE)
+    assert out == [1, 0]
+    assert canonical_blocks(jord, _NO_PIVOT, PSI_SIDE) == (blk("r", 3, 1), blk("r", 1, 7))
 
 
 def test_canonical_order_duplicates_adjacent_and_deterministic():
     blocks = [blk("r", 2, 1), blk("r", 4, 1), blk("r", 2, 1)]
     out1 = canonical_order(blocks, _NO_PIVOT, PSI_SIDE)
-    out2 = canonical_order(list(blocks), _NO_PIVOT, PSI_SIDE)
+    out2 = canonical_order(tuple(blocks), _NO_PIVOT, PSI_SIDE)
     assert out1 == out2
-    assert out1 == (blk("r", 2, 1), blk("r", 2, 1), blk("r", 4, 1))
+    assert out1 == [0, 2, 1]  # equal blocks keep their input order
+    assert canonical_blocks(blocks, _NO_PIVOT, PSI_SIDE) == (
+        blk("r", 2, 1), blk("r", 2, 1), blk("r", 4, 1)
+    )
 
 
 def test_canonical_order_with_target_passes_validation():
     target = TargetTriple("r", 5, 3)
     jord = [blk("r", 6, 4), blk("r", 5, 1), blk("r", 1, 1)]
-    out = canonical_order(jord, target, PSI_SIDE)
+    assert canonical_order(jord, target, PSI_SIDE) == [2, 1, 0]
+    out = canonical_blocks(jord, target, PSI_SIDE)
     assert out == (blk("r", 1, 1), blk("r", 5, 1), blk("r", 6, 4))
     assert validate_order(out, target, PSI_SIDE) == []
 
@@ -483,7 +494,8 @@ def test_canonical_order_with_target_passes_validation():
 def test_canonical_order_exceptional_puts_pivot_first():
     target = TargetTriple("r", 3, 4)
     jord = [blk("r", 2, 1), blk("r", 3, 2)]
-    out = canonical_order(jord, target, PSI_SIDE)
+    assert canonical_order(jord, target, PSI_SIDE) == [1, 0]
+    out = canonical_blocks(jord, target, PSI_SIDE)
     assert out == (blk("r", 3, 2), blk("r", 2, 1))
     assert validate_order(out, target, PSI_SIDE) == []
 
@@ -500,7 +512,9 @@ def test_canonical_order_missing_pivot_raises():
 
 def test_canonical_order_b0_two_is_plain_sort():
     target = TargetTriple("r", 4, 2)
-    out = canonical_order([blk("r", 6, 1), blk("r", 2, 1)], target, PSI_SIDE)
+    jord = [blk("r", 6, 1), blk("r", 2, 1)]
+    assert canonical_order(jord, target, PSI_SIDE) == [1, 0]
+    out = canonical_blocks(jord, target, PSI_SIDE)
     assert out == (blk("r", 2, 1), blk("r", 6, 1))
     assert validate_order(out, target, PSI_SIDE) == []
 
@@ -508,14 +522,15 @@ def test_canonical_order_b0_two_is_plain_sort():
 def test_canonical_order_psi_plus_side():
     target = TargetTriple("r", 5, 3)
     jord = [blk("r", 6, 4), blk("r", 5, 3), blk("r", 1, 1)]
-    out = canonical_order(jord, target, PSI_PLUS_SIDE)
+    assert canonical_order(jord, target, PSI_PLUS_SIDE) == [2, 1, 0]
+    out = canonical_blocks(jord, target, PSI_PLUS_SIDE)
     assert out == (blk("r", 1, 1), blk("r", 5, 3), blk("r", 6, 4))
     assert validate_order(out, target, PSI_PLUS_SIDE) == []
 
 
 # canonical_order takes locate_pivot's copy of the pivot block; the former
 # code took out the first equal copy. Copies are equal values, so the two
-# must build the same tuple, however many copies there are.
+# must put the same blocks in the same places, however many copies there are.
 
 
 @st.composite
@@ -541,7 +556,16 @@ def _pivot_copies_case(draw):
 @given(_pivot_copies_case())
 def test_canonical_order_matches_list_remove_oracle(case):
     blocks, target, side = case
-    assert canonical_order(blocks, target, side) == canonical_order_by_remove(blocks, target, side)
+    out = canonical_order(blocks, target, side)
+    assert sorted(out) == list(range(len(blocks)))
+    ordered = tuple(blocks[k] for k in out)
+    assert ordered == canonical_order_by_remove(blocks, target, side)
+    # The index reported at the pivot's place is locate_pivot's copy, and
+    # equal blocks keep their input order, that copy included.
+    pivot = locate_pivot(blocks, target, side)
+    if pivot is not None:
+        assert out[locate_pivot(ordered, target, side)] == pivot
+    assert all(i < j for i, j in itertools.combinations(out, 2) if blocks[i] == blocks[j])
 
 
 # Random good-parity multisets: canonical_order output always validates.
@@ -570,11 +594,11 @@ def test_canonical_order_always_validates(case):
     prime = target.prime_block()
     if prime is not None:
         psi_blocks.append(prime)
-    out = canonical_order(psi_blocks, target, PSI_SIDE)
+    out = canonical_blocks(psi_blocks, target, PSI_SIDE)
     assert validate_order(out, target, PSI_SIDE) == [], (psi_blocks, target)
 
     plus_blocks = list(blocks) + [target.plus_block()]
-    out_plus = canonical_order(plus_blocks, target, PSI_PLUS_SIDE)
+    out_plus = canonical_blocks(plus_blocks, target, PSI_PLUS_SIDE)
     assert validate_order(out_plus, target, PSI_PLUS_SIDE) == [], (
         plus_blocks,
         target,
@@ -590,7 +614,7 @@ def test_inserting_sorted_block_never_breaks_p(case):
     prime = target.prime_block()
     if prime is not None:
         psi_blocks.append(prime)
-    out = list(canonical_order(psi_blocks, target, PSI_SIDE))
+    out = list(canonical_blocks(psi_blocks, target, PSI_SIDE))
 
     extra = blk("r", 3, 2 if (target.a0 + target.b0) % 2 == 1 else 1)
     from apackets.packets import _canonical_key
@@ -623,7 +647,7 @@ def _random_order_case(rng):
     if pivot is not None:
         blocks += [pivot] * rng.randint(1, 2)
     if rng.random() < 0.5:
-        return list(canonical_order(blocks, target, side)), target, side
+        return list(canonical_blocks(blocks, target, side)), target, side
     rng.shuffle(blocks)
     return blocks, target, side
 

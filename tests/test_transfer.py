@@ -18,7 +18,6 @@ from apackets.packets import (
     TargetTriple,
     admissible_pairs,
     block_sign,
-    canonical_order,
     check_constraint1,
     locate_pivot,
     validate_order,
@@ -32,6 +31,7 @@ from apackets.transfer import (
 
 from _helpers import (
     blk,
+    canonical_blocks,
     label,
     soodd_param,
     sp,
@@ -260,19 +260,26 @@ def test_apply_transfer_replaces_only_the_pivot(a0, b0, extra_sizes):
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks.append(target.prime_block())
-    ordered = canonical_order(blocks, target, PSI_SIDE)
+    ordered = canonical_blocks(blocks, target, PSI_SIDE)
     pivot = locate_pivot(ordered, target, PSI_SIDE)
     # t grows with the position where the block's range allows, so a shifted
     # coordinate would show.
     t = tuple(min(k, min(b.a, b.b) // 2) for k, b in enumerate(ordered))
     params = PacketParams(t=t, eta=(PLUS,) * len(ordered))
-    new_order, new_params = apply_transfer(ordered, params, target)
+    new_order, new_params, position = apply_transfer(ordered, params, target)
     expected = list(ordered)
     expected[pivot] = target.plus_block()
     assert new_order == tuple(expected)
     assert [x for k, x in enumerate(new_params.t) if k != pivot] == [
         x for k, x in enumerate(t) if k != pivot
     ]
+    # The reported position holds the enlarged block and the pivot's
+    # transported coordinates.
+    assert position == pivot
+    assert new_order[position] == target.plus_block()
+    assert (new_params.t[position], new_params.eta[position]) == transfer_params(
+        t[pivot], PLUS, a0, b0
+    )
 
 
 @settings(max_examples=150)
@@ -286,7 +293,7 @@ def test_reduced_of_induced_is_identity(a0, b0, extra_sizes):
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks.append(target.prime_block())
-    ordered = canonical_order(blocks, target, PSI_SIDE)
+    ordered = canonical_blocks(blocks, target, PSI_SIDE)
     back = _reduced_blocks(_transported_order(ordered, target), target)
     assert back == ordered
 
@@ -297,7 +304,8 @@ def test_reduced_of_induced_is_identity(a0, b0, extra_sizes):
 def test_apply_transfer_example():
     blocks, target = _four_block_order()
     params = PacketParams(t=(0, 1, 0, 1), eta=(PLUS, PLUS, PLUS, PLUS))
-    new_order, new_params = apply_transfer(blocks, params, target)
+    new_order, new_params, position = apply_transfer(blocks, params, target)
+    assert position == 2
     assert new_order == (
         blk("r", 2, 1),
         blk("r", 2, 3),
@@ -320,12 +328,12 @@ def test_apply_transfer_scans_for_the_pivot_once(a0, b0, copies, extra_sizes):
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
     blocks += [target.prime_block()] * copies
-    ordered = canonical_order(blocks, target, PSI_SIDE)
+    ordered = canonical_blocks(blocks, target, PSI_SIDE)
     params = PacketParams(t=(0,) * len(blocks), eta=(PLUS,) * len(blocks))
     expected = list(ordered)
     expected[locate_pivot(ordered, target, PSI_SIDE)] = target.plus_block()
     with mock.patch("apackets.transfer.locate_pivot", wraps=locate_pivot) as spy:
-        new_order, _ = apply_transfer(ordered, params, target)
+        new_order, _, _ = apply_transfer(ordered, params, target)
     assert spy.call_count == 1
     assert new_order == tuple(expected)
 
@@ -334,10 +342,15 @@ def test_apply_transfer_fresh_block():
     blocks = [blk("r", 2, 1), blk("r", 4, 1)]
     params = PacketParams(t=(0, 0), eta=(MINUS, PLUS))
     target = TargetTriple("r", 4, 2)
-    new_order, new_params = apply_transfer(blocks, params, target, insert_position=1)
+    new_order, new_params, position = apply_transfer(blocks, params, target, insert_position=1)
     assert new_order == (blk("r", 2, 1), blk("r", 4, 2), blk("r", 4, 1))
     assert new_params.t == (0, 1, 0)
     assert new_params.eta == (MINUS, PLUS, PLUS)
+    # The reported position is the fresh block's, with the coordinates the
+    # rule gives the empty shrunken block.
+    assert position == 1
+    assert new_order[position] == target.plus_block()
+    assert (new_params.t[position], new_params.eta[position]) == transfer_params(0, PLUS, 4, 2)
 
 
 def test_apply_transfer_fresh_block_requires_position():
@@ -378,7 +391,7 @@ def test_apply_transfer_is_order_independent():
             t=tuple(member[b][0] for b in perm),
             eta=tuple(member[b][1] for b in perm),
         )
-        new_order, new_params = apply_transfer(list(perm), params, target)
+        new_order, new_params, _ = apply_transfer(list(perm), params, target)
         outcome = frozenset(
             (str(b), t, eta)
             for b, t, eta in zip(new_order, new_params.t, new_params.eta)
