@@ -4,26 +4,23 @@ and pole orders of the Gamma-factor products in the normalization."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core_types import halfint_str
+from .core_types import Value, halfint_str
 
 
-@dataclass(frozen=True, slots=True)
-class ArchBlock:
+class ArchBlock(Value):
     """An archimedean block: discrete-series size a_delta, length b, and an
     opaque annotation ell that no operation consumes."""
 
-    a_delta: int
-    b: int
-    ell: int | None = None
+    __slots__ = ("a_delta", "b", "ell")
 
-    def __post_init__(self) -> None:
-        if self.a_delta < 1 or self.b < 1:
-            raise ValueError(
-                f"block sizes must be >= 1, got ({self.a_delta}, {self.b})"
-            )
+    def __init__(self, a_delta: int, b: int, ell: int | None = None):
+        if a_delta < 1 or b < 1:
+            raise ValueError(f"block sizes must be >= 1, got ({a_delta}, {b})")
+        self.a_delta = a_delta
+        self.b = b
+        self.ell = ell
 
 
 def _inf_char_doubles(blocks: Iterable[ArchBlock]) -> list[int]:

@@ -11,10 +11,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .archimedean import ArchBlock, combined_inf_char, inf_char, is_regular, normalization_order
 from .core_types import (
@@ -224,8 +223,7 @@ def _label_pair(value: Any, ctx: dict) -> tuple[str, str]:
     return ids[0], ids[1]
 
 
-@dataclass
-class ParamEntry:
+class ParamEntry(NamedTuple):
     """A named parameter, its optional block order, and optional coordinates."""
 
     parameter: ArthurParameter
@@ -239,8 +237,7 @@ class ParamEntry:
         return tuple(blocks[k] for k in self.order)
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     """Parsed workspace: labels, group, declared facts, and named inputs."""
 
     labels: dict[str, CuspidalLabel]

@@ -1,17 +1,17 @@
-"""Half-integers, signs, cuspidal labels, group types, and declared
-analytic facts shared by every other module.
+"""Half-integers, signs, cuspidal labels, group types, declared analytic
+facts, and the base of the checked value classes, shared by every other
+module.
 
 A half-integer x is the doubled int 2x, in the package and at its API alike
 (names end in ``_x2``); ``parse_halfint`` and ``halfint_str`` convert it from
-and to 'n' or 'k/2'. All values are immutable and all arithmetic is exact; no
-floating point is used anywhere in the package.
+and to 'n' or 'k/2'. No value changes once built and all arithmetic is exact;
+no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 PLUS = 1
 MINUS = -1
@@ -64,22 +64,45 @@ class Parity(enum.Enum):
         return PLUS if self is Parity.ORTHOGONAL else MINUS
 
 
-@dataclass(frozen=True, slots=True)
-class CuspidalLabel:
+class Value:
+    """Base of the checked value classes: ``==``, ``hash`` and ``repr`` over
+    the fields named in ``__slots__``, equal only to the same class. Nothing
+    freezes the fields; the package assigns them only in ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CuspidalLabel(Value):
     """An opaque cuspidal datum: identifier, dimension, and duality facts."""
 
-    id: str
-    dim: int
-    self_dual: bool
-    parity: Parity | None = None
+    __slots__ = ("id", "dim", "self_dual", "parity")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, dim: int, self_dual: bool, parity: Parity | None = None):
+        if not id:
             raise ValueError("label id must be nonempty")
-        if self.dim < 1:
-            raise ValueError(f"label dimension must be >= 1, got {self.dim}")
-        if self.parity is not None and not self.self_dual:
-            raise ValueError(f"label {self.id!r}: parity declared but not self-dual")
+        if dim < 1:
+            raise ValueError(f"label dimension must be >= 1, got {dim}")
+        if parity is not None and not self_dual:
+            raise ValueError(f"label {id!r}: parity declared but not self-dual")
+        self.id = id
+        self.dim = dim
+        self.self_dual = self_dual
+        self.parity = parity
 
 
 class GroupKind(enum.Enum):
@@ -90,20 +113,19 @@ class GroupKind(enum.Enum):
     O_EVEN = "Oeven"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupType:
+class GroupType(Value):
     """A classical group given by kind, dual standard dimension, and a sign."""
 
-    kind: GroupKind
-    rank_dim: int
-    epsilon: int = PLUS
+    __slots__ = ("kind", "rank_dim", "epsilon")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, GroupKind):
-            raise TypeError(f"kind must be a GroupKind, got {self.kind!r}")
-        if self.rank_dim < 1:
-            raise ValueError(f"rank_dim must be >= 1, got {self.rank_dim}")
-        check_sign(self.epsilon)
+    def __init__(self, kind: GroupKind, rank_dim: int, epsilon: int = PLUS):
+        if not isinstance(kind, GroupKind):
+            raise TypeError(f"kind must be a GroupKind, got {kind!r}")
+        if rank_dim < 1:
+            raise ValueError(f"rank_dim must be >= 1, got {rank_dim}")
+        self.kind = kind
+        self.rank_dim = rank_dim
+        self.epsilon = check_sign(epsilon)
 
     @property
     def required_parity(self) -> Parity:
@@ -136,8 +158,7 @@ def _normalized_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class LContext:
+class LContext(Value):
     """Declared analytic facts about a universe of cuspidal labels.
 
     Records which labels have the degree-two pole at 1, and which unordered
@@ -145,10 +166,19 @@ class LContext:
     is Unknown.
     """
 
-    universe: frozenset[str]
-    rg_pole_at_1: frozenset[str]
-    nonvanishing_pairs: frozenset[tuple[str, str]]
-    vanishing_pairs: frozenset[tuple[str, str]]
+    __slots__ = ("universe", "rg_pole_at_1", "nonvanishing_pairs", "vanishing_pairs")
+
+    def __init__(
+        self,
+        universe: frozenset[str],
+        rg_pole_at_1: frozenset[str],
+        nonvanishing_pairs: frozenset[tuple[str, str]],
+        vanishing_pairs: frozenset[tuple[str, str]],
+    ):
+        self.universe = universe
+        self.rg_pole_at_1 = rg_pole_at_1
+        self.nonvanishing_pairs = nonvanishing_pairs
+        self.vanishing_pairs = vanishing_pairs
 
     @classmethod
     def build(
@@ -192,8 +222,7 @@ class LContext:
         return rho in self.rg_pole_at_1
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """A named check failure with a human-readable detail message."""
 
     code: str

@@ -4,25 +4,24 @@ attached to a global block datum, from declared analytic facts."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .core_types import LContext, TriBool, kleene_and
+from .core_types import LContext, TriBool, Value, kleene_and
 
 RationalLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class GlobalJord:
+class GlobalJord(Value):
     """Global block datum: pairs (label id, size b)."""
 
-    pairs: tuple[tuple[str, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        for rho, b in self.pairs:
+    def __init__(self, pairs: tuple[tuple[str, int], ...]):
+        for rho, b in pairs:
             if b < 1:
                 raise ValueError(f"size must be >= 1, got ({rho!r}, {b})")
+        self.pairs = pairs
 
 
 class VerdictKind(enum.Enum):
@@ -40,8 +39,7 @@ class ResidueOutcome(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True, slots=True)
-class EisensteinVerdict:
+class EisensteinVerdict(NamedTuple):
     """Verdict kind together with the two condition evaluations behind it."""
 
     kind: VerdictKind

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core_types import halfint_str
 from .jordan import ArthurParameter, untwisted_blocks
 
 
-@dataclass(frozen=True)
-class JacSequence:
+class JacSequence(NamedTuple):
     """A word of doubled Jacquet exponents along one cuspidal label."""
 
     rho: str

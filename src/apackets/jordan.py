@@ -4,32 +4,31 @@ Jord_bp), and structural validation of a parameter."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core_types import (
     MINUS,
     PLUS,
     CuspidalLabel,
     GroupType,
+    Value,
     Violation,
     check_sign,
     halfint_str,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Quadruple:
+class Quadruple(Value):
     """Coordinates (A, B, zeta) of a block, A and B doubled: A_x2 = a+b-2,
     B_x2 = |a-b|, zeta = sign(a-b)."""
 
-    A_x2: int
-    B_x2: int
-    zeta: int
+    __slots__ = ("A_x2", "B_x2", "zeta")
 
-    def __post_init__(self) -> None:
-        check_sign(self.zeta)
+    def __init__(self, A_x2: int, B_x2: int, zeta: int):
+        self.A_x2 = A_x2
+        self.B_x2 = B_x2
+        self.zeta = check_sign(zeta)
 
 
 def _coordinates(a: int, b: int) -> tuple[int, int, int]:
@@ -60,34 +59,37 @@ def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
 
 
 ZERO_TWIST = Fraction(0)  # the twist of every untwisted block
-_setattr = object.__setattr__  # how a frozen block sets its own fields, bound once
 
 
-@dataclass(frozen=True, slots=True)
 class JordanBlock:
     """One factor rho |det|^x x sp(a) x sp(b); twist x is an exact rational.
-    A_x2, B_x2, zeta are to_quadruple(a, b)'s, set once, outside == and hash."""
+    A_x2, B_x2, zeta are to_quadruple(a, b)'s, set once, outside ==, hash
+    and repr."""
 
-    rho: str
-    a: int
-    b: int
-    twist: Fraction = ZERO_TWIST
-    A_x2: int = field(init=False, repr=False, compare=False)
-    B_x2: int = field(init=False, repr=False, compare=False)
-    zeta: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("rho", "a", "b", "twist", "A_x2", "B_x2", "zeta")
 
-    def __post_init__(self) -> None:
-        A_x2, B_x2, zeta = _coordinates(self.a, self.b)
-        _setattr(self, "A_x2", A_x2)
-        _setattr(self, "B_x2", B_x2)
-        _setattr(self, "zeta", zeta)
-        twist = self.twist
+    def __init__(self, rho: str, a: int, b: int, twist: Fraction = ZERO_TWIST):
+        self.A_x2, self.B_x2, self.zeta = _coordinates(a, b)
         if type(twist) is not Fraction:
             twist = Fraction(twist)
-            _setattr(self, "twist", twist)
         # |x| < 1/2 on the reduced numerator and (positive) denominator.
         if 2 * abs(twist.numerator) >= twist.denominator:
             raise ValueError(f"twist must satisfy |x| < 1/2, got {twist}")
+        self.rho = rho
+        self.a = a
+        self.b = b
+        self.twist = twist
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rho, self.a, self.b, self.twist) == (other.rho, other.a, other.b, other.twist)
+
+    def __hash__(self) -> int:
+        return hash((self.rho, self.a, self.b, self.twist))
+
+    def __repr__(self) -> str:
+        return f"JordanBlock(rho={self.rho!r}, a={self.a!r}, b={self.b!r}, twist={self.twist!r})"
 
     def __str__(self) -> str:
         if self.twist == 0:
@@ -100,8 +102,7 @@ def _sp_parity_sign(k: int) -> int:
     return MINUS if k % 2 == 0 else PLUS
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
+class ArthurParameter(NamedTuple):
     """A multiset of Jordan blocks attached to a classical group."""
 
     group: GroupType

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core_types import MINUS, PLUS, Violation, check_sign, sign_str
@@ -17,19 +16,19 @@ PSI_SIDE = "psi"
 PSI_PLUS_SIDE = "psi_plus"
 
 
-@dataclass(frozen=True, slots=True)
 class TargetTriple:
     """The block (rho, a0, b0) whose size is being enlarged from b0-2 to b0."""
 
-    rho: str
-    a0: int
-    b0: int
+    __slots__ = ("rho", "a0", "b0")
 
-    def __post_init__(self) -> None:
-        if self.a0 < 1:
-            raise ValueError(f"a0 must be >= 1, got {self.a0}")
-        if self.b0 < 2:
-            raise ValueError(f"b0 must be >= 2, got {self.b0}")
+    def __init__(self, rho: str, a0: int, b0: int):
+        if a0 < 1:
+            raise ValueError(f"a0 must be >= 1, got {a0}")
+        if b0 < 2:
+            raise ValueError(f"b0 must be >= 2, got {b0}")
+        self.rho = rho
+        self.a0 = a0
+        self.b0 = b0
 
     def prime_block(self) -> JordanBlock | None:
         """The shrunken block (rho, a0, b0-2) present on the small side."""

@@ -2,7 +2,6 @@
 parameter into Jord_bp and contragredient pairs, and structural parameter
 validation."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -126,8 +125,9 @@ def test_block_coordinates_match_to_quadruple(twist):
 
 
 def test_block_equality_hash_and_repr_ignore_coordinates():
-    compared = [f.name for f in dataclasses.fields(JordanBlock) if f.compare]
-    assert compared == ["rho", "a", "b", "twist"]
+    # Equality and hash read (rho, a, b, twist) and no coordinate: the hash
+    # is that tuple's, and blocks that differ in one of the four are unequal,
+    # also where their A and B agree.
     block = JordanBlock("r", 3, 4)
     assert block == JordanBlock("r", 3, 4, Fraction(0)) == JordanBlock("r", 3, 4, "0")
     assert hash(block) == hash(("r", 3, 4, Fraction(0)))

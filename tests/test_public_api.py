@@ -1,5 +1,7 @@
 """Every public name in the package is read by a command, a script or an
-acceptance criterion, and the package is exact and stdlib-only.
+acceptance criterion; the package is exact and stdlib-only, assigns a
+field only in ``__init__``, and imports neither ``dataclasses`` nor
+``inspect``.
 
 The check parses ``src/apackets/*.py``, ``scripts/*.py`` and
 ``tests/test_acceptance.py``. A public top-level function or class, or a
@@ -10,6 +12,8 @@ resolved, so a name reused elsewhere can hide an unused definition.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -80,3 +84,45 @@ def test_package_imports_only_the_stdlib_and_uses_no_floats():
                 faults.append(f"{where} true division")
     assert PACKAGE
     assert faults == []
+
+
+# Names that set or delete an attribute named by a string.
+_SETATTR_NAMES = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _field_writes(node: ast.AST, in_init: bool = False):
+    """Every attribute store or delete under ``node`` other than
+    ``self.<name> = ...`` in the body of an ``__init__``, and every use of a
+    name that sets an attribute by string."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _field_writes(child, getattr(child, "name", None) == "__init__")
+            continue
+        if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+            if not (in_init and isinstance(child.ctx, ast.Store)
+                    and isinstance(child.value, ast.Name) and child.value.id == "self"):
+                yield child
+        elif getattr(child, "id", None) in _SETATTR_NAMES or getattr(child, "attr", None) in _SETATTR_NAMES:
+            yield child
+        yield from _field_writes(child, in_init)
+
+
+def test_package_assigns_fields_only_in_init():
+    """The checked value classes are plain ``__slots__`` classes, which
+    their type does not freeze; a block, once built, stays as built because
+    no module of the package assigns an attribute outside
+    ``self.<name> = ...`` in an ``__init__``."""
+    faults = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+              for path in PACKAGE for node in _field_writes(TREES[path])]
+    assert PACKAGE
+    assert faults == []
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh ``import apackets.cli`` loads neither module: together they
+    cost several milliseconds of every command's start."""
+    probe = "import sys, apackets.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
