@@ -7,12 +7,11 @@ success, 2 on validation/domain failure, 64 on usage errors.
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .archimedean import ArchBlock, combined_inf_char, inf_char, is_regular, normalization_order
@@ -62,7 +61,8 @@ class WorkspaceError(ValueError):
 
 
 class UsageError(Exception):
-    """A command-line usage problem detected after argument parsing."""
+    """A command line that breaks a rule of _COMMANDS; its text is the line
+    written to stderr."""
 
 
 # ---------------------------------------------------------------------------
@@ -555,34 +555,32 @@ def _packet_list_json(
 
 # ---------------------------------------------------------------------------
 # command-line interface
-
-_NEGATIVE_VALUE = re.compile(r"-\d")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage problems exit 64, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    def _parse_optional(self, arg_string):
-        # No option starts with '-<digit>', so such a token is a value such
-        # as '-3/2' or '-1,2'; argparse alone only accepts plain '-3'.
-        if _NEGATIVE_VALUE.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+#
+# _COMMANDS holds every rule of the command line. A command's row is its
+# handler, its summary, its options and its rules. An option is (names,
+# converter, default), plus the attribute the handler reads when that is not
+# the last name with '-' read as '_'. The converter reads the value's text;
+# a flag has None. The default is the value of an absent option: _REQUIRED
+# for one the command must have, and () for one that may repeat, whose
+# values are collected in a tuple. A rule is (test, message): a namespace
+# that passes test is refused with message, before the handler runs.
 
 
-def _option_value(parse, expected: str):
-    """An argparse ``type``: ``parse(text)``, with a malformed value reported
-    as a usage error that names the option (argparse adds it) and the value."""
+def _expect(parse, expected: str):
+    """An option's converter: ``parse(text)``, or a ValueError that says what
+    was expected and quotes the text."""
 
     def convert(text: str) -> Any:
         try:
             return parse(text)
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        except (ValueError, ZeroDivisionError, KeyError):
+            raise ValueError(f"expected {expected}, got {text!r}") from None
 
     return convert
+
+
+def _one_of(values: Mapping[str, Any]):
+    return _expect(values.__getitem__, f"one of {', '.join(values)}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -592,21 +590,19 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-_halfint = _option_value(parse_halfint, "a half-integer such as 3 or -3/2")
-_rational = _option_value(_fraction, "an exact rational such as 3/2")
+_integer = _expect(int, "an integer")
+_halfint = _expect(parse_halfint, "a half-integer such as 3 or -3/2")
+_rational = _expect(_fraction, "an exact rational such as 3/2")
 
 
 def _halfints(text: str) -> tuple:
     return tuple(_halfint(tok) for tok in text.split(",") if tok.strip())
 
 
-def _load_workspace(args: argparse.Namespace) -> Workspace:
-    path = getattr(args, "workspace", None)
-    if path is None:
-        raise UsageError("this command requires --workspace")
-    if path == "-":
+def _load_workspace(args: SimpleNamespace) -> Workspace:
+    if args.workspace == "-":
         return parse_workspace(sys.stdin.read())
-    with open(path, "rb") as fh:
+    with open(args.workspace, "rb") as fh:
         return parse_workspace(fh.read())
 
 
@@ -627,9 +623,9 @@ def _violation_docs(violations, where: str | None = None) -> list[dict]:
     return docs
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_validate(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
-    names = [args.param] if args.param else list(ws.parameters)
+    names = list(ws.parameters) if args.param is None else [args.param]
     docs: list[dict] = []
     for name in names:
         entry = _lookup(ws.parameters, name, "unknown parameter")
@@ -641,10 +637,10 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     return (EXIT_FAIL if docs else EXIT_OK), {"violations": docs}
 
 
-def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict | str]:
+def _cmd_packet(args: SimpleNamespace) -> tuple[int, dict | str]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    epsilon = parse_sign(args.epsilon) if args.epsilon else ws.group.epsilon
+    epsilon = ws.group.epsilon if args.epsilon is None else args.epsilon
     blocks = entry.ordered()
     if args.count:
         count = count_params(blocks, epsilon)
@@ -658,7 +654,7 @@ def _cmd_packet(args: argparse.Namespace) -> tuple[int, dict | str]:
     return EXIT_OK, _packet_list_json(epsilon, blocks, members)
 
 
-def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_order(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
@@ -673,18 +669,14 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, {"indices": indices, "blocks": [blocks[k] for k in indices]}
 
 
-def _cmd_pole_order(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_pole_order(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
     return EXIT_OK, {"order": r_order(entry.parameter, rho, args.a0, args.s0)}
 
 
-def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
-    if args.b0 == 2 and args.insert_position is None:
-        raise UsageError("--b0 2 requires --insert-position")
-    if args.b0 != 2 and args.insert_position is not None:
-        raise UsageError("--insert-position applies only when --b0 is 2")
+def _cmd_transfer(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
@@ -715,32 +707,10 @@ def _cmd_transfer(args: argparse.Namespace) -> tuple[int, dict]:
     }
 
 
-# The options only one ``jac`` mode reads, as (namespace attribute, option).
-_NORMAL_FORM_ONLY = (("exponents", "--exponents"),)
-_NONVANISHING_ONLY = (
-    ("param", "--param"),
-    ("seg_from", "--from"),
-    ("seg_to", "--to"),
-    ("workspace", "--workspace"),
-)
-
-
-def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
-    other, foreign = (
-        ("--nonvanishing", _NONVANISHING_ONLY)
-        if args.normal_form
-        else ("--normal-form", _NORMAL_FORM_ONLY)
-    )
-    for attr, option in foreign:
-        if getattr(args, attr) is not None:
-            raise UsageError(f"{option} applies only to {other}")
+def _cmd_jac(args: SimpleNamespace) -> tuple[int, dict]:
     if args.normal_form:
-        if args.exponents is None:
-            raise UsageError("--normal-form requires --exponents")
         nf = jac_normal_form(JacSequence(args.rho or "", args.exponents))
         return EXIT_OK, {"exponents_x2": nf.exponents}
-    if None in (args.param, args.rho, args.seg_from, args.seg_to):
-        raise UsageError("--nonvanishing requires --param, --rho, --from, and --to")
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
@@ -748,7 +718,7 @@ def _cmd_jac(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, {"nonvanishing_possible": nonzero}
 
 
-def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_irreducible(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     entry = _lookup(ws.parameters, args.param, "unknown parameter")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
@@ -756,11 +726,7 @@ def _cmd_irreducible(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, {"verdict": verdict.value}
 
 
-def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
-    if args.a_tau is not None and args.s0 is None:
-        raise UsageError("--a-tau requires --s0")
-    if args.a_tau is None and args.s0 is not None:
-        raise UsageError("--s0 requires --a-tau")
+def _cmd_infchar(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     blocks = _lookup(ws.arch, args.arch, "unknown arch input")
     if args.a_tau is not None:
@@ -773,16 +739,13 @@ def _cmd_infchar(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-def _cmd_arch_order(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_arch_order(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     blocks = _lookup(ws.arch, args.arch, "unknown arch input")
     return EXIT_OK, {"order": normalization_order(args.a_tau, blocks, args.s0)}
 
 
-_TRIBOOL_FLAGS = {"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}
-
-
-def _cmd_eisenstein(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_eisenstein(args: SimpleNamespace) -> tuple[int, dict]:
     ws = _load_workspace(args)
     jord = _lookup(ws.global_jords, args.global_name, "unknown global datum")
     rho = _lookup(ws.labels, args.rho, "undeclared label").id
@@ -793,133 +756,174 @@ def _cmd_eisenstein(args: argparse.Namespace) -> tuple[int, dict]:
         "cond2": verdict.cond2.value,
     }
     if args.local or args.residue:
-        places = tuple(_TRIBOOL_FLAGS[v] for v in (args.local or []))
-        payload["residue"] = residue_verdict(verdict, places).value
+        payload["residue"] = residue_verdict(verdict, args.local).value
     return EXIT_OK, payload
 
 
-def _add_workspace_arg(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    sub.add_argument(
-        "-w",
-        "--workspace",
-        required=required,
-        default=None,
-        help="path to the workspace JSON document ('-' for stdin)",
-    )
+_WORKSPACE = ("-w --workspace", str, _REQUIRED)
+_PARAM, _RHO = ("--param", str, _REQUIRED), ("--rho", str, _REQUIRED)
+_A0, _B0 = ("--a0", _integer, _REQUIRED), ("--b0", _integer, _REQUIRED)
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="apackets",
-        description="Exact combinatorics of Jordan-block parameters: packet "
-        "coordinates, pole orders, block enlargement, Jacquet and "
-        "irreducibility criteria, Eisenstein verdicts.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("validate", help="structural checks on parameters")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", help="restrict to one named parameter")
-
-    sub = subs.add_parser("packet", help="count or list packet coordinates")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", required=True)
-    mode = sub.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--count", action="store_true")
-    mode.add_argument("--list", action="store_true")
-    sub.add_argument("--epsilon", choices=["+", "-"], help="override the group's sign")
-
-    sub = subs.add_parser("order", help="validate or build an admissible order")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", required=True)
-    sub.add_argument("--rho", required=True)
-    sub.add_argument("--a0", type=int, required=True)
-    sub.add_argument("--b0", type=int, required=True)
-    mode = sub.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--validate", action="store_true")
-    mode.add_argument("--canonical", action="store_true")
-    sub.add_argument("--side", choices=[PSI_SIDE, PSI_PLUS_SIDE], default=PSI_SIDE)
-
-    sub = subs.add_parser("pole-order", help="pole order of the normalization factor")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", required=True)
-    sub.add_argument("--rho", required=True)
-    sub.add_argument("--a0", type=int, required=True)
-    sub.add_argument("--s0", type=_halfint, required=True, help="e.g. '2' or '3/2'")
-
-    sub = subs.add_parser("transfer", help="enlarge one block and transport everything")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", required=True)
-    sub.add_argument("--rho", required=True)
-    sub.add_argument("--a0", type=int, required=True)
-    sub.add_argument("--b0", type=int, required=True)
-    sub.add_argument(
-        "--insert-position",
-        type=int,
-        default=None,
-        help="where the fresh block goes; required when b0 = 2, rejected otherwise",
-    )
-
-    sub = subs.add_parser("jac", help="Jacquet words and their nonvanishing")
-    _add_workspace_arg(sub, required=False)
-    mode = sub.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--normal-form", action="store_true")
-    mode.add_argument("--nonvanishing", action="store_true")
-    sub.add_argument("--rho")
-    sub.add_argument("--exponents", type=_halfints, help="comma-separated half-integers")
-    sub.add_argument("--param")
-    sub.add_argument("--from", dest="seg_from", type=_halfint, help="segment start")
-    sub.add_argument("--to", dest="seg_to", type=_halfint, help="segment stop")
-
-    sub = subs.add_parser("irreducible", help="sufficient irreducibility criterion")
-    _add_workspace_arg(sub)
-    sub.add_argument("--param", required=True)
-    sub.add_argument("--rho", required=True)
-    sub.add_argument("--x", type=_halfint, required=True, help="nonzero half-integer twist")
-
-    sub = subs.add_parser("infchar", help="infinitesimal-character entries")
-    _add_workspace_arg(sub)
-    sub.add_argument("--arch", required=True)
-    sub.add_argument("--a-tau", type=int, default=None)
-    sub.add_argument("--s0", type=_halfint, help="half-integer twist point; needs --a-tau")
-    sub.add_argument("--check-regular", action="store_true")
-
-    sub = subs.add_parser("arch-order", help="total Gamma-factor pole order")
-    _add_workspace_arg(sub)
-    sub.add_argument("--arch", required=True)
-    sub.add_argument("--a-tau", type=int, action="append", required=True)
-    sub.add_argument("--s0", type=_halfint, required=True)
-
-    sub = subs.add_parser("eisenstein", help="pole and residue verdicts")
-    _add_workspace_arg(sub)
-    sub.add_argument("--global", dest="global_name", required=True)
-    sub.add_argument("--rho", required=True)
-    sub.add_argument(
-        "--s0", type=_rational, required=True, help="exact rational >= 1/2, e.g. '3/2'"
-    )
-    sub.add_argument(
-        "--local",
-        action="append",
-        choices=sorted(_TRIBOOL_FLAGS),
-        help="local nonvanishing facts: t(rue)/f(alse)/u(nknown)",
-    )
-    sub.add_argument("--residue", action="store_true", help="include the residue verdict")
-
-    return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "packet": _cmd_packet,
-    "order": _cmd_order,
-    "pole-order": _cmd_pole_order,
-    "transfer": _cmd_transfer,
-    "jac": _cmd_jac,
-    "irreducible": _cmd_irreducible,
-    "infchar": _cmd_infchar,
-    "arch-order": _cmd_arch_order,
-    "eisenstein": _cmd_eisenstein,
+_COMMANDS = {
+    "validate": (
+        _cmd_validate, "structural checks on parameters", (_WORKSPACE, ("--param", str, None)), []
+    ),
+    "packet": (
+        _cmd_packet, "count or list packet coordinates",
+        (_WORKSPACE, _PARAM, ("--count", None, False), ("--list", None, False),
+         ("--epsilon", _one_of({"+": PLUS, "-": MINUS}), None)),
+        [(lambda a: a.count == a.list, "expected exactly one of --count and --list")],
+    ),
+    "order": (
+        _cmd_order, "validate or build an admissible order",
+        (_WORKSPACE, _PARAM, _RHO, _A0, _B0, ("--validate", None, False),
+         ("--canonical", None, False),
+         ("--side", _one_of({PSI_SIDE: PSI_SIDE, PSI_PLUS_SIDE: PSI_PLUS_SIDE}), PSI_SIDE)),
+        [(lambda a: a.validate == a.canonical,
+          "expected exactly one of --validate and --canonical")],
+    ),
+    "pole-order": (
+        _cmd_pole_order, "pole order of the normalization factor",
+        (_WORKSPACE, _PARAM, _RHO, _A0, ("--s0", _halfint, _REQUIRED)), [],
+    ),
+    "transfer": (
+        _cmd_transfer, "enlarge one block and transport everything",
+        (_WORKSPACE, _PARAM, _RHO, _A0, _B0, ("--insert-position", _integer, None)),
+        [(lambda a: a.b0 == 2 and a.insert_position is None, "--b0 2 requires --insert-position"),
+         (lambda a: a.b0 != 2 and a.insert_position is not None,
+          "--insert-position applies only when --b0 is 2")],
+    ),
+    "jac": (
+        _cmd_jac, "Jacquet words and their nonvanishing",
+        (("-w --workspace", str, None), ("--normal-form", None, False),
+         ("--nonvanishing", None, False), ("--rho", str, None), ("--exponents", _halfints, None),
+         ("--param", str, None), ("--from", _halfint, None, "seg_from"),
+         ("--to", _halfint, None, "seg_to")),
+        [(lambda a: a.normal_form == a.nonvanishing,
+          "expected exactly one of --normal-form and --nonvanishing"),
+         (lambda a: a.normal_form and a.param is not None,
+          "--param applies only to --nonvanishing"),
+         (lambda a: a.normal_form and a.seg_from is not None,
+          "--from applies only to --nonvanishing"),
+         (lambda a: a.normal_form and a.seg_to is not None, "--to applies only to --nonvanishing"),
+         (lambda a: a.normal_form and a.workspace is not None,
+          "--workspace applies only to --nonvanishing"),
+         (lambda a: a.normal_form and a.exponents is None, "--normal-form requires --exponents"),
+         (lambda a: a.nonvanishing and a.exponents is not None,
+          "--exponents applies only to --normal-form"),
+         (lambda a: a.nonvanishing and None in (a.param, a.rho, a.seg_from, a.seg_to),
+          "--nonvanishing requires --param, --rho, --from, and --to"),
+         (lambda a: a.nonvanishing and a.workspace is None, "this command requires --workspace")],
+    ),
+    "irreducible": (
+        _cmd_irreducible, "sufficient irreducibility criterion",
+        (_WORKSPACE, _PARAM, _RHO, ("--x", _halfint, _REQUIRED)), [],
+    ),
+    "infchar": (
+        _cmd_infchar, "infinitesimal-character entries",
+        (_WORKSPACE, ("--arch", str, _REQUIRED), ("--a-tau", _integer, None),
+         ("--s0", _halfint, None), ("--check-regular", None, False)),
+        [(lambda a: a.a_tau is not None and a.s0 is None, "--a-tau requires --s0"),
+         (lambda a: a.a_tau is None and a.s0 is not None, "--s0 requires --a-tau")],
+    ),
+    "arch-order": (
+        _cmd_arch_order, "total Gamma-factor pole order",
+        (_WORKSPACE, ("--arch", str, _REQUIRED), ("--a-tau", _integer, ()),
+         ("--s0", _halfint, _REQUIRED)),
+        [(lambda a: not a.a_tau, "this command requires --a-tau")],
+    ),
+    "eisenstein": (
+        _cmd_eisenstein, "pole and residue verdicts",
+        (_WORKSPACE, ("--global", str, _REQUIRED, "global_name"), _RHO,
+         ("--s0", _rational, _REQUIRED),
+         ("--local", _one_of({"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}), ()),
+         ("--residue", None, False)),
+        [],
+    ),
 }
+
+
+def _options(rows: tuple) -> tuple[dict, list]:
+    """A command's options, each as (long name, attribute, converter,
+    default): by each of its names, and in the order of the table."""
+    by_name, listed = {}, []
+    for names, convert, default, *attr in rows:
+        *short, long = names.split()
+        option = (long, attr[0] if attr else long[2:].replace("-", "_"), convert, default)
+        listed.append(option)
+        by_name.update(dict.fromkeys([*short, long], option))
+    return by_name, listed
+
+
+_HANDLERS = {command: row[0] for command, row in _COMMANDS.items()}
+_OPTIONS = {command: _options(row[2]) for command, row in _COMMANDS.items()}
+_HELP = ("-h", "--help")
+
+
+def _usage(*commands: str) -> str:
+    """Each command's usage line, built from its options, and its summary."""
+    lines = []
+    for command in commands:
+        _, summary, rows, _ = _COMMANDS[command]
+        words = [f"apackets {command}"]
+        for names, convert, default, *_ in rows:
+            word = names.split()[0]
+            if convert is not None:
+                word += f" {names.split()[-1][2:].upper()}"
+            if default == ():
+                word += " ..."
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines += [" ".join(words), f"    {summary}"]
+    return "\n".join(lines) + "\n"
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv against _COMMANDS: the namespace its handler reads, once
+    every rule of the command holds, or ``command=None`` and the usage text
+    for -h or --help. An option's value is its '=' suffix or else the next
+    token, whatever that starts with. Raises UsageError."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        if command in _HELP:
+            return SimpleNamespace(command=None, usage=_usage(*_COMMANDS))
+        what = f"unknown command {command!r}" if argv else "no command"
+        raise UsageError(f"apackets: error: {what}; expected one of {', '.join(_COMMANDS)}")
+    prog = f"apackets {command}"
+    by_name, listed = _OPTIONS[command]
+    got = {attr: default for _, attr, _, default in listed}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name in _HELP:
+            return SimpleNamespace(command=None, usage=_usage(command))
+        if name not in by_name:
+            raise UsageError(f"{prog}: error: unrecognized argument {token!r}")
+        long, attr, convert, default = by_name[name]
+        if convert is None:
+            if eq:
+                raise UsageError(f"{prog}: error: argument {long}: takes no value")
+            got[attr] = True
+            continue
+        if not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"{prog}: error: argument {long}: expected a value")
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise UsageError(f"{prog}: error: argument {long}: {exc}") from None
+        got[attr] = got[attr] + (value,) if default == () else value
+    for long, attr, _, _ in listed:
+        if got[attr] is _REQUIRED:
+            raise UsageError(f"{prog}: error: this command requires {long}")
+    args = SimpleNamespace(command=command, **got)
+    for test, message in _COMMANDS[command][3]:
+        if test(args):
+            raise UsageError(f"{prog}: error: {message}")
+    return args
+
+
+def build_parser() -> SimpleNamespace:
+    """The command-line reader: ``build_parser().parse_args(argv)``."""
+    return SimpleNamespace(parse_args=_read)
 
 
 def _emit(payload: dict | str) -> None:
@@ -928,26 +932,19 @@ def _emit(payload: dict | str) -> None:
     sys.stdout.write(payload if isinstance(payload, str) else canonical_json(payload))
 
 
-# Built by the first run(), not at import: an import that answers no query
-# pays nothing for it. parse_args keeps no state between calls.
-_parser: argparse.ArgumentParser | None = None
-
-
 def run(argv: Sequence[str]) -> int:
     """Run one subcommand; returns the exit code (0 / 2 / 64)."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
+    if args.command is None:
+        sys.stdout.write(args.usage)
+        return EXIT_OK
     try:
         code, payload = _HANDLERS[args.command](args)
         _emit(payload)  # an int too long for str() raises before writing
-    except UsageError as exc:
-        sys.stderr.write(f"apackets {args.command}: error: {exc}\n")
-        return EXIT_USAGE
     except (WorkspaceError, ValueError, OSError) as exc:
         _emit({"error": str(exc)})
         return EXIT_FAIL

@@ -139,7 +139,7 @@ def good_parity(
     """
     if block.rho not in labels:
         raise ValueError(f"unknown label: {block.rho!r}")
-    if block.twist != 0:
+    if block.twist.numerator:
         return False
     label = labels[block.rho]
     if not label.self_dual:
@@ -168,13 +168,15 @@ def _pairing_classes(
     classes: dict[tuple, list[JordanBlock]] = {}
     for blk in sorted(blocks, key=_block_sort_key):
         label = labels[blk.rho]
-        key = (blk.a, blk.b, abs(blk.twist), blk.rho if label.self_dual else label.dim)
+        # The twist as its reduced numerator and denominator: a Fraction hashes slowly.
+        num, den = blk.twist.numerator, blk.twist.denominator
+        key = (blk.a, blk.b, abs(num), den, blk.rho if label.self_dual else label.dim)
         classes.setdefault(key, []).append(blk)
     for cls in classes.values():
         half, odd = divmod(len(cls), 2)
-        positive = sum(blk.twist > 0 for blk in cls)
+        positive = sum(blk.twist.numerator > 0 for blk in cls)
         heaviest = max(Counter(blk.rho for blk in cls).values())
-        if odd or (cls[0].twist and positive != half) or (
+        if odd or (cls[0].twist.numerator and positive != half) or (
             heaviest > half and not labels[cls[0].rho].self_dual
         ):
             raise ValueError(f"blocks cannot be grouped into contragredient pairs (near {cls[0]})")

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +22,6 @@ from apackets.cli import (
     EXIT_OK,
     EXIT_USAGE,
     WorkspaceError,
-    build_parser,
     canonical_json,
     parse_workspace,
     run,
@@ -644,6 +644,17 @@ def test_validate_unknown_parameter_is_an_error(capsys):
     assert "NOPE" in payload["error"]
 
 
+def test_validate_empty_parameter_name_is_a_name(capsys, tmp_path):
+    code, payload = _run_json(capsys, "validate", "-w", str(DEMO), "--param", "")
+    assert (code, payload) == (EXIT_FAIL, {"error": "unknown parameter: ''"})
+    ws = tmp_path / "ws.json"
+    ws.write_text(_minimal(parameters=[{"name": "", "jord": [{"rho": "r", "a": 2, "b": 1}]},
+                                       {"name": "P", "jord": []}]))
+    code, payload = _run_json(capsys, "validate", "-w", str(ws), "--param", "")
+    assert code == EXIT_FAIL
+    assert [v["where"] for v in payload["violations"]] == ["parameters/"]
+
+
 def test_minus_sign_character_is_not_a_sign(capsys, tmp_path):
     # Only '+', '-', '+1' and '-1' spell a sign; U+2212 MINUS SIGN does not.
     bad = tmp_path / "ws.json"
@@ -1179,6 +1190,46 @@ def test_usage_errors_exit_64(capsys):
         _run(capsys, "infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1")[0]
         == EXIT_USAGE
     )  # --a-tau without --s0
+    # The reader's own rules: an option is named in full, a flag takes no
+    # value, and a value option has one.
+    w = ("-w", str(DEMO))
+    for argv, message in [
+        (("transfer", *w, "--param", "P", "--rho", "r", "--a0", "3", "--b0", "2", "--insert", "0"),
+         "unrecognized argument '--insert'"),
+        (("packet", *w, "--param", "P", "--count=1"), "argument --count: takes no value"),
+        (("packet", *w, "--param", "P", "--count", "--verbose"),
+         "unrecognized argument '--verbose'"),
+        (("packet", *w, "--count", "--param"), "argument --param: expected a value"),
+        (("packet", *w, "--param", "P", "--count", "--", "x"), "unrecognized argument '--'"),
+    ]:
+        assert _run(capsys, *argv) == (EXIT_USAGE, "", f"apackets {argv[0]}: error: {message}\n")
+
+
+def test_help_prints_a_usage_line_and_a_summary_per_command(capsys):
+    code, out, err = _run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[::2]] == list(cli._COMMANDS)
+    assert lines[0] == "apackets validate -w WORKSPACE [--param PARAM]"
+    assert _run(capsys, "packet", "-w", "x", "-h") == (
+        EXIT_OK,
+        "apackets packet -w WORKSPACE --param PARAM [--count] [--list] [--epsilon EPSILON]\n"
+        "    count or list packet coordinates\n",
+        "",
+    )
+
+
+def test_readme_usage_names_each_commands_options():
+    """README's usage block and _COMMANDS name the same options for each command."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named: dict[str, set] = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        named.setdefault(line.split()[1], set()).update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    assert named == {
+        command: {names.split()[0] for names, *_ in row[2]}
+        for command, row in cli._COMMANDS.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -1268,7 +1319,7 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n" == first
 
 
-# --- one parser per process -----------------------------------------------------------
+# --- one process, many queries ---------------------------------------------------------
 
 _W = ("-w", "tests/data/demo_workspace.json")
 _MIXED_ARGVS = [case["argv"] for case in GOLDEN] + [
@@ -1298,8 +1349,8 @@ _MIXED_ARGVS = [case["argv"] for case in GOLDEN] + [
 
 
 def test_one_process_answers_as_a_fresh_process_per_query(capsys, monkeypatch):
-    """The parser built by the first query serves every later one: each
-    answer (exit code, stdout and stderr) equals that of a fresh process."""
+    """The reader keeps no state between queries: each answer (exit code,
+    stdout and stderr) equals that of a fresh process."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     fresh = []
     for argv in _MIXED_ARGVS:
@@ -1311,33 +1362,8 @@ def test_one_process_answers_as_a_fresh_process_per_query(capsys, monkeypatch):
     assert {code for code, _, _ in fresh} == {EXIT_OK, EXIT_FAIL, EXIT_USAGE}
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setattr(cli, "_parser", None)
     for _ in range(2):
         assert [_run(capsys, *argv) for argv in _MIXED_ARGVS] == fresh
-
-
-def test_run_builds_the_parser_once(capsys, monkeypatch):
-    built = []
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    for _ in range(3):
-        assert _run(capsys, "jac", "--normal-form", "--exponents=1,2")[0] == EXIT_OK
-    assert len(built) == 1
-
-
-def test_import_builds_no_parser():
-    probe = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
-        "import apackets.cli\n"
-        "assert apackets.cli._parser is None and not built, built\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
 
 
 # --- the canonical writer ---------------------------------------------------------------
