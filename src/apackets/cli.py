@@ -599,49 +599,20 @@ def _halfints(text: str) -> tuple:
     return tuple(_halfint(tok) for tok in text.split(",") if tok.strip())
 
 
-def _load_workspace(args: SimpleNamespace) -> Workspace:
-    if args.workspace == "-":
-        return parse_workspace(sys.stdin.read())
-    with open(args.workspace, "rb") as fh:
-        return parse_workspace(fh.read())
-
-
-def _lookup(table: Mapping[str, Any], key: str, what: str) -> Any:
-    """``table[key]``, or a ValueError naming ``what`` and the key."""
-    if key not in table:
-        raise ValueError(f"{what}: {key!r}")
-    return table[key]
-
-
-def _violation_docs(violations, where: str | None = None) -> list[dict]:
-    docs = []
-    for v in violations:
-        doc = {"code": v.code, "message": v.message}
-        if where is not None:
-            doc["where"] = where
-        docs.append(doc)
-    return docs
-
-
-def _cmd_validate(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    names = list(ws.parameters) if args.param is None else [args.param]
+def _cmd_validate(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    given = ws.parameters if args.param is None else {args.names["param"]: args.param}
     docs: list[dict] = []
-    for name in names:
-        entry = _lookup(ws.parameters, name, "unknown parameter")
-        where = f"parameters/{name}"
-        docs.extend(_violation_docs(validate_parameter(entry.parameter, ws.labels), where))
+    for name, entry in given.items():
+        found = validate_parameter(entry.parameter, ws.labels)
         if entry.params is not None:
-            found = validate_params(entry.ordered(), entry.params, ws.group.epsilon)
-            docs.extend(_violation_docs(found, where))
+            found = found + validate_params(entry.ordered(), entry.params, ws.group.epsilon)
+        docs.extend({**v._asdict(), "where": f"parameters/{name}"} for v in found)
     return (EXIT_FAIL if docs else EXIT_OK), {"violations": docs}
 
 
-def _cmd_packet(args: SimpleNamespace) -> tuple[int, dict | str]:
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
+def _cmd_packet(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict | str]:
     epsilon = ws.group.epsilon if args.epsilon is None else args.epsilon
-    blocks = entry.ordered()
+    blocks = args.param.ordered()
     if args.count:
         count = count_params(blocks, epsilon)
         return EXIT_OK, {"count": count, "epsilon": sign_str(epsilon)}
@@ -654,34 +625,29 @@ def _cmd_packet(args: SimpleNamespace) -> tuple[int, dict | str]:
     return EXIT_OK, _packet_list_json(epsilon, blocks, members)
 
 
-def _cmd_order(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
+def _cmd_order(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    target = TargetTriple(args.rho, args.a0, args.b0)
     check_target_parity(target, ws.group, ws.labels)
     if args.validate:
-        violations = validate_order(entry.ordered(), target, args.side)
+        violations = validate_order(args.param.ordered(), target, args.side)
         return (EXIT_FAIL if violations else EXIT_OK), {
-            "violations": _violation_docs(violations)
+            "violations": [v._asdict() for v in violations]
         }
-    blocks = entry.parameter.blocks
+    blocks = args.param.parameter.blocks
     indices = canonical_order(blocks, target, args.side)
     return EXIT_OK, {"indices": indices, "blocks": [blocks[k] for k in indices]}
 
 
-def _cmd_pole_order(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    return EXIT_OK, {"order": r_order(entry.parameter, rho, args.a0, args.s0)}
+def _cmd_pole_order(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    return EXIT_OK, {"order": r_order(args.param.parameter, args.rho, args.a0, args.s0)}
 
 
-def _cmd_transfer(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    target = TargetTriple(_lookup(ws.labels, args.rho, "undeclared label").id, args.a0, args.b0)
+def _cmd_transfer(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    entry = args.param
+    target = TargetTriple(args.rho, args.a0, args.b0)
     if entry.params is None:
-        raise ValueError(f"parameter {args.param!r} declares no packet coordinates (t/eta)")
+        name = args.names["param"]
+        raise ValueError(f"parameter {name!r} declares no packet coordinates (t/eta)")
     psi_plus = build_psi_plus(entry.parameter, target, ws.labels)
     ordered = entry.ordered()
     # Only admissible coordinates are transported; the order is not validated.
@@ -707,49 +673,36 @@ def _cmd_transfer(args: SimpleNamespace) -> tuple[int, dict]:
     }
 
 
-def _cmd_jac(args: SimpleNamespace) -> tuple[int, dict]:
+def _cmd_jac(args: SimpleNamespace, ws: Workspace | None) -> tuple[int, dict]:
     if args.normal_form:
         nf = jac_normal_form(JacSequence(args.rho or "", args.exponents))
         return EXIT_OK, {"exponents_x2": nf.exponents}
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    nonzero = jac_nonvanishing_necessary(entry.parameter, rho, args.seg_from, args.seg_to)
+    nonzero = jac_nonvanishing_necessary(args.param.parameter, args.rho, args.seg_from, args.seg_to)
     return EXIT_OK, {"nonvanishing_possible": nonzero}
 
 
-def _cmd_irreducible(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    entry = _lookup(ws.parameters, args.param, "unknown parameter")
-    rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    verdict = irreducible_cuspidal_twist(entry.parameter, rho, args.x)
+def _cmd_irreducible(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    verdict = irreducible_cuspidal_twist(args.param.parameter, args.rho, args.x)
     return EXIT_OK, {"verdict": verdict.value}
 
 
-def _cmd_infchar(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    blocks = _lookup(ws.arch, args.arch, "unknown arch input")
+def _cmd_infchar(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
     if args.a_tau is not None:
-        entries = combined_inf_char(blocks, args.a_tau, args.s0)
+        entries = combined_inf_char(args.arch, args.a_tau, args.s0)
     else:
-        entries = inf_char(blocks)
+        entries = inf_char(args.arch)
     payload: dict[str, Any] = {"entries_x2": entries}
     if args.check_regular:
         payload["regular"] = is_regular(entries)
     return EXIT_OK, payload
 
 
-def _cmd_arch_order(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    blocks = _lookup(ws.arch, args.arch, "unknown arch input")
-    return EXIT_OK, {"order": normalization_order(args.a_tau, blocks, args.s0)}
+def _cmd_arch_order(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    return EXIT_OK, {"order": normalization_order(args.a_tau, args.arch, args.s0)}
 
 
-def _cmd_eisenstein(args: SimpleNamespace) -> tuple[int, dict]:
-    ws = _load_workspace(args)
-    jord = _lookup(ws.global_jords, args.global_name, "unknown global datum")
-    rho = _lookup(ws.labels, args.rho, "undeclared label").id
-    verdict = eisenstein_verdict(jord, rho, args.s0, ws.lcontext)
+def _cmd_eisenstein(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:
+    verdict = eisenstein_verdict(args.global_jord, args.rho, args.s0, ws.lcontext)
     payload: dict[str, Any] = {
         "kind": verdict.kind.value,
         "cond1": verdict.cond1,
@@ -834,7 +787,7 @@ _COMMANDS = {
     ),
     "eisenstein": (
         _cmd_eisenstein, "pole and residue verdicts",
-        (_WORKSPACE, ("--global", str, _REQUIRED, "global_name"), _RHO,
+        (_WORKSPACE, ("--global", str, _REQUIRED, "global_jord"), _RHO,
          ("--s0", _rational, _REQUIRED),
          ("--local", _one_of({"t": TriBool.TRUE, "f": TriBool.FALSE, "u": TriBool.UNKNOWN}), ()),
          ("--residue", None, False)),
@@ -926,6 +879,45 @@ def build_parser() -> SimpleNamespace:
     return SimpleNamespace(parse_args=_read)
 
 
+# Each option that names a workspace record, in the order the names are looked
+# up: its attribute, the Workspace field holding the records, and the message
+# for a name the workspace lacks.
+_NAMES = (
+    ("param", "parameters", "unknown parameter"),
+    ("arch", "arch", "unknown arch input"),
+    ("global_jord", "global_jords", "unknown global datum"),
+    ("rho", "labels", "undeclared label"),
+)
+
+
+def _resolve(args: SimpleNamespace) -> tuple[SimpleNamespace, Workspace | None]:
+    """Read the workspace ``args`` names, once (``-`` is stdin), and return
+    the handler's arguments: ``args`` with each name _NAMES lists swapped for
+    its record, and the workspace. A label stays its id, and the names as
+    given stay in ``names``. A command without a workspace (``jac
+    --normal-form``) gets ``args`` and None. Raises ValueError naming the
+    first name the workspace lacks."""
+    if args.workspace is None:
+        return args, None
+    if args.workspace == "-":
+        ws = parse_workspace(sys.stdin.read())
+    else:
+        with open(args.workspace, "rb") as fh:
+            ws = parse_workspace(fh.read())
+    got, names = vars(args).copy(), {}
+    for attr, field, message in _NAMES:
+        name = got.get(attr)
+        if name is None:
+            continue
+        records = getattr(ws, field)
+        if name not in records:
+            raise ValueError(f"{message}: {name!r}")
+        names[attr] = name
+        if field != "labels":
+            got[attr] = records[name]
+    return SimpleNamespace(**got, names=names), ws
+
+
 def _emit(payload: dict | str) -> None:
     """Write an answer: a str as it is (``packet --list`` renders its own
     bytes), anything else through canonical_json."""
@@ -943,7 +935,7 @@ def run(argv: Sequence[str]) -> int:
         sys.stdout.write(args.usage)
         return EXIT_OK
     try:
-        code, payload = _HANDLERS[args.command](args)
+        code, payload = _HANDLERS[args.command](*_resolve(args))
         _emit(payload)  # an int too long for str() raises before writing
     except (WorkspaceError, ValueError, OSError) as exc:
         _emit({"error": str(exc)})

@@ -1297,6 +1297,73 @@ def test_missing_file_reports_error(capsys, tmp_path):
     assert "error" in payload
 
 
+# --- names looked up in the workspace --------------------------------------------------
+
+# Each workspace command, with names the demo workspace declares; and for each
+# option that names a record, the message for a name the workspace lacks, in
+# the order the names are looked up.
+_NAMED = {
+    "validate": ["--param", "P"],
+    "packet": ["--param", "P", "--count"],
+    "order": ["--param", "P", "--rho", "r", "--a0", "4", "--b0", "3", "--validate"],
+    "pole-order": ["--param", "P", "--rho", "r", "--a0", "4", "--s0", "1"],
+    "transfer": ["--param", "P", "--rho", "r", "--a0", "4", "--b0", "3"],
+    "jac": ["--nonvanishing", "--rho", "r", "--param", "P", "--from", "1/2", "--to", "3/2"],
+    "irreducible": ["--param", "P", "--rho", "r", "--x", "5/2"],
+    "infchar": ["--arch", "AR"],
+    "arch-order": ["--arch", "AR", "--a-tau", "2", "--s0", "1"],
+    "eisenstein": ["--rho", "r", "--global", "G1", "--s0", "2"],
+}
+_MISSING = {
+    "--param": "unknown parameter",
+    "--arch": "unknown arch input",
+    "--global": "unknown global datum",
+    "--rho": "undeclared label",
+}
+
+
+def _renamed(command, options, name="zz"):
+    """The command's _NAMED argv with the value of each of ``options`` replaced."""
+    argv = ["-w", str(DEMO), *_NAMED[command]]
+    for option in options:
+        argv[argv.index(option) + 1] = name
+    return [command, *argv]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c, argv in _NAMED.items() for o in argv if o in _MISSING],
+)
+def test_unknown_name_exits_2_with_its_message(capsys, command, option):
+    assert _run(capsys, *_renamed(command, []))[0] == EXIT_OK
+    code, out, err = _run(capsys, *_renamed(command, [option]))
+    assert (code, json.loads(out), err) == (EXIT_FAIL, {"error": f"{_MISSING[option]}: 'zz'"}, "")
+
+
+@pytest.mark.parametrize("command", _NAMED)
+def test_first_unknown_name_in_lookup_order_is_reported(capsys, command):
+    # jac --nonvanishing and eisenstein give --rho first on the command line.
+    options = [o for o in _NAMED[command] if o in _MISSING]
+    first = next(o for o in _MISSING if o in options)
+    code, payload = _run_json(capsys, *_renamed(command, options))
+    assert (code, payload) == (EXIT_FAIL, {"error": f"{_MISSING[first]}: 'zz'"})
+
+
+@pytest.mark.parametrize("fault", ["missing file", "schema"])
+@pytest.mark.parametrize("command", _NAMED)
+def test_workspace_faults_come_before_names(capsys, tmp_path, command, fault):
+    path = tmp_path / "ws.json"
+    if fault == "schema":
+        path.write_text("{}")
+        error = "/: missing required key 'labels'"
+    else:
+        error = str(FileNotFoundError(2, os.strerror(2), str(path)))
+    argv = _renamed(command, [o for o in _NAMED[command] if o in _MISSING])
+    argv[argv.index("-w") + 1] = str(path)
+    code, payload = _run_json(capsys, *argv)
+    assert (code, payload) == (EXIT_FAIL, {"error": error})
+
+
 def _golden_id(k: int, argv: list) -> str:
     shown = [a for i, a in enumerate(argv) if "-w" not in (a, argv[i - 1] if i else None)]
     return f"{k}-{' '.join(shown)}"
@@ -1304,10 +1371,17 @@ def _golden_id(k: int, argv: list) -> str:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[_golden_id(k, c["argv"]) for k, c in enumerate(GOLDEN)])
 def test_golden_bytes(capsys, monkeypatch, case):
-    """The benchmark's recorded fixture outputs, byte for byte."""
+    """The benchmark's recorded fixture outputs, byte for byte, with the
+    workspace read from its file and then from stdin, which can be read once."""
     monkeypatch.chdir(ROOT)
-    code, out, _ = _run(capsys, *case["argv"])
+    argv = case["argv"]
+    code, out, _ = _run(capsys, *argv)
     assert (code, out) == (case["code"], case["stdout"])
+    if "-w" in argv:
+        k = argv.index("-w") + 1
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(argv[k]).read_text()))
+        code, out, _ = _run(capsys, *argv[:k], "-", *argv[k + 1:])
+        assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_repeated_runs_are_byte_identical(capsys):
