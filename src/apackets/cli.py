@@ -66,17 +66,21 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# workspace parsing
+# workspace format
 #
 # Each record kind is a _Table: its fields in key order, each a (key,
-# converter, default) triple, and the function that builds the record from
+# converter, default, writer), and the function that builds the record from
 # the converted fields. A converter takes (value, ctx), where ctx holds the
 # root fields converted so far (labels come first), and returns the
 # converted value. A WorkspaceError raised while converting a value carries a
 # pointer relative to that value; each enclosing object or array prefixes its
 # key or index on the way out, so a valid document builds no pointer strings.
+# A writer maps the record to the key's JSON value, or to _ABSENT to leave the
+# key out. It is None where the key is written elsewhere: canonical_json
+# writes a block as its jord row, and _Named writes a record's name.
 
 _REQUIRED = object()  # default of a key the record must have
+_ABSENT = object()  # writer's value of a key the record leaves out
 
 
 def _under(key: Any, exc: WorkspaceError) -> WorkspaceError:
@@ -100,13 +104,15 @@ _str, _int, _bool = _typed(str, "a string"), _typed(int, "an integer"), _typed(b
 
 
 class _Table:
-    """One record kind; calling it checks and converts one JSON object."""
+    """One record kind; calling it checks and converts one JSON object, and
+    ``write`` gives a record's JSON object."""
 
     def __init__(self, build, *fields):
         self.build = build
         self.fields = fields
-        self.keys = frozenset(key for key, _, _ in fields)
-        self.required = frozenset(key for key, _, default in fields if default is _REQUIRED)
+        self.keys = frozenset(key for key, *_ in fields)
+        self.required = frozenset(key for key, _, default, _ in fields if default is _REQUIRED)
+        self.writers = [(key, write) for key, _, _, write in fields if write is not None]
 
     def __call__(self, value: Any, ctx: dict | None) -> Any:
         obj = _object(value)
@@ -117,13 +123,13 @@ class _Table:
             token = unknown.replace("~", "~0").replace("/", "~1")
             raise WorkspaceError(f"/{token}", "unknown key")
         if not keys >= self.required:
-            missing = next(k for k, _, d in self.fields if d is _REQUIRED and k not in obj)
+            missing = next(k for k, _, d, _ in self.fields if d is _REQUIRED and k not in obj)
             raise WorkspaceError("", f"missing required key {missing!r}")
         got: dict[str, Any] = {}
         if ctx is None:
             ctx = got
         try:
-            for key, convert, default in self.fields:
+            for key, convert, default, _ in self.fields:
                 got[key] = convert(obj[key], ctx) if key in obj else default
         except WorkspaceError as exc:
             raise _under(key, exc) from None
@@ -133,6 +139,9 @@ class _Table:
             raise
         except ValueError as exc:
             raise WorkspaceError("", str(exc)) from None
+
+    def write(self, record: Any) -> dict:
+        return {key: v for key, write in self.writers if (v := write(record)) is not _ABSENT}
 
 
 # Every JSON array becomes a tuple here, the one sequence type of a record's
@@ -152,20 +161,25 @@ def _list_of(convert):
     return convert_list
 
 
-def _named(kind: str, table: _Table):
-    """A list of ``table`` records as a dict keyed by their first field."""
-    key = table.fields[0][0]
-    records = _list_of(table)
+class _Named:
+    """A list of ``table`` records, read as a dict keyed by their first field
+    and written back as that list."""
 
-    def convert(value: Any, ctx: dict) -> dict:
-        out: dict[str, Any] = {}
-        for k, (item, record) in enumerate(zip(value, records(value, ctx))):
+    def __init__(self, kind: str, table: _Table):
+        self.kind, self.table = kind, table
+        self.key = table.fields[0][0]
+        self.records = _list_of(table)
+
+    def __call__(self, value: Any, ctx: dict) -> dict:
+        key, out = self.key, {}
+        for k, (item, record) in enumerate(zip(value, self.records(value, ctx))):
             if item[key] in out:
-                raise WorkspaceError(f"/{k}/{key}", f"duplicate {kind} {key} {item[key]!r}")
+                raise WorkspaceError(f"/{k}/{key}", f"duplicate {self.kind} {key} {item[key]!r}")
             out[item[key]] = record
         return out
 
-    return convert
+    def write(self, records: dict) -> list:
+        return [{self.key: name, **self.table.write(record)} for name, record in records.items()]
 
 
 def _nullable(convert):
@@ -280,24 +294,26 @@ _PARITY_VALUES = {p.value: p for p in Parity}
 _KIND_VALUES = {k.value: k for k in GroupKind}
 _LABEL = _Table(
     lambda got, ctx: CuspidalLabel(**got),
-    ("id", _str, _REQUIRED),
-    ("dim", _int, _REQUIRED),
-    ("self_dual", _bool, _REQUIRED),
-    ("parity", _nullable(_choice(_PARITY_VALUES, "'orthogonal', 'symplectic', or null")), None),
+    ("id", _str, _REQUIRED, None),
+    ("dim", _int, _REQUIRED, lambda lab: lab.dim),
+    ("self_dual", _bool, _REQUIRED, lambda lab: lab.self_dual),
+    ("parity", _nullable(_choice(_PARITY_VALUES, "'orthogonal', 'symplectic', or null")), None,
+     lambda lab: None if lab.parity is None else lab.parity.value),
 )
 _GROUP = _Table(
     lambda got, ctx: GroupType(got["kind"], got["m_star"], got["epsilon"]),
-    ("kind", _choice(_KIND_VALUES, f"one of {sorted(_KIND_VALUES)}"), _REQUIRED),
-    ("m_star", _int, _REQUIRED),
-    ("epsilon", _sign, PLUS),
+    ("kind", _choice(_KIND_VALUES, f"one of {sorted(_KIND_VALUES)}"), _REQUIRED,
+     lambda group: group.kind.value),
+    ("m_star", _int, _REQUIRED, lambda group: group.rank_dim),
+    ("epsilon", _sign, PLUS, lambda group: sign_str(group.epsilon)),
 )
 _LFACTS = _Table(
     lambda got, ctx: LContext.build(
         ctx["labels"], got["rg_pole_at_1"], got["central_nonvanishing"], got["central_vanishing"]
     ),
-    ("rg_pole_at_1", _label_ids, ()),
-    ("central_nonvanishing", _list_of(_label_pair), ()),
-    ("central_vanishing", _list_of(_label_pair), ()),
+    ("rg_pole_at_1", _label_ids, (), lambda lc: sorted(lc.rg_pole_at_1)),
+    ("central_nonvanishing", _list_of(_label_pair), (), lambda lc: sorted(lc.nonvanishing_pairs)),
+    ("central_vanishing", _list_of(_label_pair), (), lambda lc: sorted(lc.vanishing_pairs)),
 )
 _BLOCK = _Table(
     lambda got, ctx: JordanBlock(
@@ -306,11 +322,11 @@ _BLOCK = _Table(
         got["b"],
         Fraction(got["twist_num"], got["twist_den"]) if got["twist_num"] else ZERO_TWIST,
     ),
-    ("rho", _label_id, _REQUIRED),
-    ("a", _size, _REQUIRED),
-    ("b", _size, _REQUIRED),
-    ("twist_num", _int, 0),
-    ("twist_den", _positive("denominator"), 1),
+    ("rho", _label_id, _REQUIRED, None),
+    ("a", _size, _REQUIRED, None),
+    ("b", _size, _REQUIRED, None),
+    ("twist_num", _int, 0, None),
+    ("twist_den", _positive("denominator"), 1, None),
 )
 
 
@@ -334,41 +350,44 @@ def _jord_row(row: Any, ctx: dict) -> JordanBlock:
 
 _PARAMETER = _Table(
     _param_entry,
-    ("name", _str, _REQUIRED),
-    ("jord", _list_of(_jord_row), _REQUIRED),
-    ("order", _list_of(_int), None),
-    ("t", _list_of(_int), None),
-    ("eta", _list_of(_sign), None),
+    ("name", _str, _REQUIRED, None),
+    ("jord", _list_of(_jord_row), _REQUIRED, lambda entry: entry.parameter.blocks),
+    ("order", _list_of(_int), None, lambda entry: _ABSENT if entry.order is None else entry.order),
+    ("t", _list_of(_int), None, lambda entry: _ABSENT if entry.params is None else entry.params.t),
+    ("eta", _list_of(_sign), None,
+     lambda entry: _ABSENT if entry.params is None else [*map(sign_str, entry.params.eta)]),
 )
 _ARCH_BLOCK = _Table(
     lambda got, ctx: ArchBlock(**got),
-    ("a_delta", _size, _REQUIRED),
-    ("b", _size, _REQUIRED),
-    ("ell", _nullable(_int), None),
+    ("a_delta", _size, _REQUIRED, lambda blk: blk.a_delta),
+    ("b", _size, _REQUIRED, lambda blk: blk.b),
+    ("ell", _nullable(_int), None, lambda blk: blk.ell),
 )
 _ARCH = _Table(
     lambda got, ctx: got["blocks"],
-    ("name", _str, _REQUIRED),
-    ("blocks", _list_of(_ARCH_BLOCK), _REQUIRED),
+    ("name", _str, _REQUIRED, None),
+    ("blocks", _list_of(_ARCH_BLOCK), _REQUIRED, lambda blocks: [*map(_ARCH_BLOCK.write, blocks)]),
 )
 _PAIR = _Table(
     lambda got, ctx: (got["rho"], got["b"]),
-    ("rho", _self_dual_label_id, _REQUIRED),
-    ("b", _size, _REQUIRED),
+    ("rho", _self_dual_label_id, _REQUIRED, lambda pair: pair[0]),
+    ("b", _size, _REQUIRED, lambda pair: pair[1]),
 )
 _GLOBAL = _Table(
     lambda got, ctx: GlobalJord(pairs=got["pairs"]),
-    ("name", _str, _REQUIRED),
-    ("pairs", _list_of(_PAIR), _REQUIRED),
+    ("name", _str, _REQUIRED, None),
+    ("pairs", _list_of(_PAIR), _REQUIRED, lambda jord: [*map(_PAIR.write, jord.pairs)]),
 )
+_LABELS, _PARAMETERS = _Named("label", _LABEL), _Named("parameter", _PARAMETER)
+_ARCHES, _GLOBALS = _Named("arch", _ARCH), _Named("global", _GLOBAL)
 _ROOT = _Table(
     _workspace,
-    ("labels", _named("label", _LABEL), _REQUIRED),
-    ("group", _GROUP, _REQUIRED),
-    ("lfacts", _nullable(_LFACTS), None),
-    ("parameters", _named("parameter", _PARAMETER), None),
-    ("arch", _named("arch", _ARCH), None),
-    ("global", _named("global", _GLOBAL), None),
+    ("labels", _LABELS, _REQUIRED, lambda ws: _LABELS.write(ws.labels)),
+    ("group", _GROUP, _REQUIRED, lambda ws: _GROUP.write(ws.group)),
+    ("lfacts", _nullable(_LFACTS), None, lambda ws: _LFACTS.write(ws.lcontext)),
+    ("parameters", _PARAMETERS, None, lambda ws: _PARAMETERS.write(ws.parameters)),
+    ("arch", _ARCHES, None, lambda ws: _ARCHES.write(ws.arch)),
+    ("global", _GLOBALS, None, lambda ws: _GLOBALS.write(ws.global_jords)),
 )
 
 
@@ -407,55 +426,7 @@ class _LongInt(int):
 
 def serialize_workspace(ws: Workspace) -> str:
     """Canonical JSON form of a workspace; parse -> serialize is idempotent."""
-    doc: dict[str, Any] = {
-        "labels": [
-            {
-                "id": lab.id,
-                "dim": lab.dim,
-                "self_dual": lab.self_dual,
-                "parity": lab.parity.value if lab.parity is not None else None,
-            }
-            for lab in ws.labels.values()
-        ],
-        "group": {
-            "kind": ws.group.kind.value,
-            "m_star": ws.group.rank_dim,
-            "epsilon": sign_str(ws.group.epsilon),
-        },
-        "lfacts": {
-            "rg_pole_at_1": sorted(ws.lcontext.rg_pole_at_1),
-            "central_nonvanishing": sorted(ws.lcontext.nonvanishing_pairs),
-            "central_vanishing": sorted(ws.lcontext.vanishing_pairs),
-        },
-        "parameters": [],
-        "arch": [],
-        "global": [],
-    }
-    for name, entry in ws.parameters.items():
-        pdoc: dict[str, Any] = {
-            "name": name,
-            "jord": entry.parameter.blocks,
-        }
-        if entry.order is not None:
-            pdoc["order"] = entry.order
-        if entry.params is not None:
-            pdoc["t"] = entry.params.t
-            pdoc["eta"] = [sign_str(e) for e in entry.params.eta]
-        doc["parameters"].append(pdoc)
-    for name, blocks in ws.arch.items():
-        doc["arch"].append(
-            {
-                "name": name,
-                "blocks": [
-                    {"a_delta": blk.a_delta, "b": blk.b, "ell": blk.ell} for blk in blocks
-                ],
-            }
-        )
-    for name, jord in ws.global_jords.items():
-        doc["global"].append(
-            {"name": name, "pairs": [{"rho": r, "b": b} for r, b in jord.pairs]}
-        )
-    return canonical_json(doc)
+    return canonical_json(_ROOT.write(ws))
 
 
 # Per depth, a line break with that depth's indent, alone and after a comma;
@@ -899,8 +870,8 @@ def _resolve(args: SimpleNamespace) -> tuple[SimpleNamespace, Workspace | None]:
     first name the workspace lacks."""
     if args.workspace is None:
         return args, None
-    if args.workspace == "-":
-        ws = parse_workspace(sys.stdin.read())
+    if args.workspace == "-":  # bytes, as from a file; a text-only stream as text
+        ws = parse_workspace(getattr(sys.stdin, "buffer", sys.stdin).read())
     else:
         with open(args.workspace, "rb") as fh:
             ws = parse_workspace(fh.read())

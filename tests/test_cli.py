@@ -54,6 +54,16 @@ def _param_doc(jord, **extra):
     return _minimal(parameters=[entry])
 
 
+def _own_dim_doc(jord, **extra):
+    """_param_doc with the blocks' own dimension as m_star (r has dimension 1,
+    u and v have 2), so validate finds no DimensionMismatch. The parameter of
+    no blocks gets m_star 1: no group has dimension 0."""
+    doc = json.loads(_param_doc(jord, **extra))
+    dims = {"r": 1, "u": 2, "v": 2}
+    doc["group"]["m_star"] = sum(dims[row["rho"]] * row["a"] * row["b"] for row in jord) or 1
+    return json.dumps(doc)
+
+
 def _run(capsys, *args):
     code = run(list(args))
     captured = capsys.readouterr()
@@ -580,6 +590,56 @@ def test_serialize_is_a_fixed_point_on_random_workspaces(seed):
         assert serialize_workspace(again) == text
 
 
+def _canonical_doc(doc):
+    """The canonical form of a parsed workspace document, normalized by hand:
+    defaults filled in, null for a missing parity or ell, signs as '+'/'-',
+    twists reduced (zero as 0/1), and fact labels and pairs deduplicated,
+    each pair ordered, and the lists sorted."""
+    sign = {"+": "+", "+1": "+", "-": "-", "-1": "-"}
+    facts = doc.get("lfacts") or {}
+
+    def pairs(key):
+        return sorted({tuple(sorted(p)) for p in facts.get(key, [])})
+
+    def row(r):
+        twist = Fraction(r.get("twist_num", 0), r.get("twist_den", 1))
+        return {"rho": r["rho"], "a": r["a"], "b": r["b"],
+                "twist_num": twist.numerator, "twist_den": twist.denominator}
+
+    def parameter(entry):
+        out = {"name": entry["name"], "jord": [row(r) for r in entry["jord"]]}
+        if "order" in entry:
+            out["order"] = entry["order"]
+        if "t" in entry:
+            out["t"], out["eta"] = entry["t"], [sign[e] for e in entry["eta"]]
+        return out
+
+    return {
+        "labels": [{"parity": None, **lab} for lab in doc["labels"]],
+        "group": {**doc["group"], "epsilon": sign[doc["group"].get("epsilon", "+")]},
+        "lfacts": {
+            "rg_pole_at_1": sorted(set(facts.get("rg_pole_at_1", []))),
+            "central_nonvanishing": pairs("central_nonvanishing"),
+            "central_vanishing": pairs("central_vanishing"),
+        },
+        "parameters": [parameter(entry) for entry in doc.get("parameters", [])],
+        "arch": [{"name": a["name"], "blocks": [{"ell": None, **blk} for blk in a["blocks"]]}
+                 for a in doc.get("arch", [])],
+        "global": doc.get("global", []),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_serialize_writes_the_hand_normalized_document(seed):
+    """The canonical bytes against an oracle that shares no code with the
+    writer: json.dumps of the input document normalized by hand."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        text = _random_workspace(rng)
+        expected = json.dumps(_canonical_doc(json.loads(text)), sort_keys=True, indent=2) + "\n"
+        assert serialize_workspace(parse_workspace(text)) == expected, text
+
+
 def test_serialize_emits_defaults_and_sorted_facts():
     out = serialize_workspace(parse_workspace(_minimal()))
     doc = json.loads(out)
@@ -720,7 +780,7 @@ def test_packet_list_bytes_match_oracle(capsys, tmp_path):
     ws = tmp_path / "ws.json"
     for sizes, order in _packet_list_cases(random.Random(13)):
         extra = {} if order is None else {"order": order}
-        ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes], **extra))
+        ws.write_text(_own_dim_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes], **extra))
         blocks = [blk("r", *sizes[k]) for k in (range(len(sizes)) if order is None else order)]
         for epsilon, sign in ((1, "+"), (-1, "-")):
             code, out, _ = _run(
@@ -738,7 +798,7 @@ def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
     # About 2.5 * 10^22 choices: the count must come from the closed form, not a search.
     sizes = [(1 + k % 7, 1 + (3 * k) % 8) for k in range(40)]
     ws = tmp_path / "ws.json"
-    ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
+    ws.write_text(_own_dim_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
     sign = "+" if epsilon > 0 else "-"
     code, payload = _run_json(
         capsys, "packet", "-w", str(ws), "--param", "P", "--count", "--epsilon", sign
@@ -750,7 +810,7 @@ def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
 def test_packet_count_too_long_to_write_exits_2(capsys, tmp_path):
     # 1,000^1,500 members: 4,501 digits, more than str() writes by default.
     ws = tmp_path / "ws.json"
-    ws.write_text(_param_doc([{"rho": "r", "a": 1000, "b": 999}] * 1500))
+    ws.write_text(_own_dim_doc([{"rho": "r", "a": 1000, "b": 999}] * 1500))
     code, out, _ = _run(capsys, "packet", "-w", str(ws), "--param", "P", "--count")
     assert code == EXIT_FAIL
     assert "4300 digits" in json.loads(out)["error"]
@@ -779,12 +839,12 @@ def test_order_validate_five_thousand_block_canonical_order(capsys, tmp_path):
             jord.append({"rho": "r", "a": a, "b": b})
     jord.append({"rho": "r", "a": 4, "b": 3})  # the shrunken block of (r, 4, 5)
     ws = tmp_path / "ws.json"
-    ws.write_text(_param_doc(jord))
+    ws.write_text(_own_dim_doc(jord))
     target = ("--rho", "r", "--a0", "4", "--b0", "5")
     code, canonical = _run_json(capsys, "order", "-w", str(ws), "--param", "P", *target, "--canonical")
     assert code == EXIT_OK
     assert sorted(canonical["indices"]) == list(range(len(jord)))
-    ws.write_text(_param_doc(jord, order=canonical["indices"]))
+    ws.write_text(_own_dim_doc(jord, order=canonical["indices"]))
     code, payload = _run_json(capsys, "order", "-w", str(ws), "--param", "P", *target, "--validate")
     assert (code, payload) == (EXIT_OK, {"violations": []})
 
@@ -852,7 +912,7 @@ def test_order_canonical(capsys):
 )
 def test_order_canonical_indices_with_two_pivot_copies(capsys, tmp_path, sizes, a0, b0, indices):
     ws = tmp_path / "ws.json"
-    ws.write_text(_param_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
+    ws.write_text(_own_dim_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
     code, payload = _run_json(
         capsys,
         "order", "-w", str(ws), "--param", "P",
@@ -903,7 +963,7 @@ def test_order_canonical_indices_with_repeated_blocks(case):
             for rho, a, b, x in rows]
     # order takes only good-parity targets: (r, a0, b0) is of good parity
     # for SOodd when a0 + b0 is odd, and for Sp when it is even.
-    doc = json.loads(_param_doc(jord))
+    doc = json.loads(_own_dim_doc(jord))
     doc["group"]["kind"] = "SOodd" if (a0 + b0) % 2 else "Sp"
     doc["labels"] += [{"id": rho, "dim": 2, "self_dual": False} for rho in "uv"]
     out = io.StringIO()
@@ -1172,6 +1232,19 @@ def test_workspace_from_stdin(capsys, monkeypatch):
     code, payload = _run_json(capsys, "packet", "-w", "-", "--param", "Q", "--count")
     assert code == EXIT_OK
     assert payload["count"] == 6
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xef\xbb\xbf" + DEMO.read_bytes(), b'{"labels": [{"id": "\xff"}]}'],
+    ids=["utf-8-bom", "not-utf-8"],
+)
+def test_workspace_from_stdin_reads_the_bytes_a_file_gives(capsys, monkeypatch, tmp_path, data):
+    path = tmp_path / "ws.json"
+    path.write_bytes(data)
+    from_file = _run(capsys, "validate", "-w", str(path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert _run(capsys, "validate", "-w", "-") == from_file
 
 
 # --- exit codes and determinism ------------------------------------------------------
