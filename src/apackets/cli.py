@@ -8,6 +8,7 @@ success, 2 on validation/domain failure, 64 on usage errors.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -915,7 +916,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # the reader is gone or the disk is full
+        # Stdout goes to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"apackets: cannot write the answer: {exc}\n")
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .core_types import (
     Value,
     Violation,
     check_sign,
-    halfint_str,
 )
 
 
@@ -41,21 +40,6 @@ def _coordinates(a: int, b: int) -> tuple[int, int, int]:
 def to_quadruple(a: int, b: int) -> Quadruple:
     """Quadruple coordinates of the block sizes (a, b); zeta=+ when a=b."""
     return Quadruple(*_coordinates(a, b))
-
-
-def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
-    """Inverse of to_quadruple on doubled coordinates; raises on coordinates
-    outside the image."""
-    check_sign(zeta)
-    halves = f"A={halfint_str(A_x2)}, B={halfint_str(B_x2)}"
-    if B_x2 < 0 or A_x2 < B_x2:
-        raise ValueError(f"need A >= B >= 0, got {halves}")
-    if (A_x2 - B_x2) % 2 != 0:
-        raise ValueError(f"A - B must be an integer, got {halves}")
-    if B_x2 == 0 and zeta == MINUS:
-        raise ValueError("zeta must be + when B = 0")
-    big, small = (A_x2 + B_x2) // 2 + 1, (A_x2 - B_x2) // 2 + 1
-    return (big, small) if zeta == PLUS else (small, big)
 
 
 ZERO_TWIST = Fraction(0)  # the twist of every untwisted block

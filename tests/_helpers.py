@@ -28,10 +28,11 @@ from apackets.core_types import (
     GroupType,
     Parity,
     Violation,
+    check_sign,
+    halfint_str,
     sign_str,
 )
 from apackets.jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
-from apackets.lfactors import pole_contribution_table
 from apackets.packets import (
     PSI_SIDE,
     TargetTriple,
@@ -162,6 +163,39 @@ def sign_dp_count(sizes, epsilon: int) -> int:
         b_plus, b_minus = signs.count(PLUS), signs.count(MINUS)
         plus, minus = plus * b_plus + minus * b_minus, plus * b_minus + minus * b_plus
     return plus if epsilon == PLUS else minus
+
+
+# --- second routes: the interval pole criterion, the inverse of to_quadruple ----
+
+
+def pole_contribution_interval(a: int, b: int, a0: int, b0: int) -> int:
+    """1 if the factor for (a,b) against (a0,b0) has a pole at s=(b0-1)/2.
+
+    Membership of (b-1)/2 - (b0-1)/2 in the integer-stepped shift set of
+    (a0, a): between |a-a0|/2 and (a+a0)/2 - 1 and in the same integrality
+    class. The oracle of ``lfactors.pole_contribution_table``.
+    """
+    if min(a, b, a0) < 1 or b0 < 2:
+        raise ValueError(f"need a,b,a0 >= 1 and b0 >= 2, got ({a},{b},{a0},{b0})")
+    val = b - b0  # doubled value of (b-1)/2 - (b0-1)/2
+    lo = abs(a - a0)
+    hi = a + a0 - 2
+    return int((val - lo) % 2 == 0 and lo <= val <= hi)
+
+
+def from_quadruple(A_x2: int, B_x2: int, zeta: int) -> tuple[int, int]:
+    """Inverse of to_quadruple on doubled coordinates; raises on coordinates
+    outside the image."""
+    check_sign(zeta)
+    halves = f"A={halfint_str(A_x2)}, B={halfint_str(B_x2)}"
+    if B_x2 < 0 or A_x2 < B_x2:
+        raise ValueError(f"need A >= B >= 0, got {halves}")
+    if (A_x2 - B_x2) % 2 != 0:
+        raise ValueError(f"A - B must be an integer, got {halves}")
+    if B_x2 == 0 and zeta == MINUS:
+        raise ValueError("zeta must be + when B = 0")
+    big, small = (A_x2 + B_x2) // 2 + 1, (A_x2 - B_x2) // 2 + 1
+    return (big, small) if zeta == PLUS else (small, big)
 
 
 # --- exhaustive-search oracle for contragredient pairing -----------------------
@@ -344,7 +378,10 @@ def validate_order_all_pairs(blocks, target: TargetTriple, side: str = PSI_SIDE)
         for i, b in enumerate(blocks)
         if b.rho == target.rho and b.twist == 0 and i != pivot
     ]
-    contributors = [i for i, q in relevant if pole_contribution_table(q, tq) == 1]
+    contributors = [
+        i for i, _ in relevant
+        if pole_contribution_interval(blocks[i].a, blocks[i].b, target.a0, target.b0) == 1
+    ]
 
     if pivot is not None:
         for i in contributors:

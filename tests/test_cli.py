@@ -1370,6 +1370,46 @@ def test_missing_file_reports_error(capsys, tmp_path):
     assert "error" in payload
 
 
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed: a write fails at once."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def _dev_full():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+_EIGHT_BLOCKS = _own_dim_doc([{"rho": "r", "a": 2, "b": 3}] * 8)  # an answer of 813 KB
+
+
+@pytest.mark.parametrize("sink", [_closed_pipe, _dev_full], ids=["closed-pipe", "dev-full"])
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(["validate", "-w", str(DEMO)], None),
+     (["packet", "-w", "-", "--param", "P", "--list"], _EIGHT_BLOCKS)],
+    ids=["small-answer", "large-answer"],
+)
+def test_a_failed_write_of_the_answer_exits_2_with_one_line(sink, argv, stdin):
+    """A reader that is gone or a full disk: exit 2 with one line on stderr,
+    no traceback. Buffered stdout (no PYTHONUNBUFFERED) holds a small answer
+    until the flush at exit; a large one fails while it is written."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    fd = sink()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apackets.cli", *argv], input=stdin, stdout=fd,
+            stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == EXIT_FAIL
+    assert re.fullmatch(r"apackets: cannot write the answer: \[Errno \d+\] [^\n]+\n", proc.stderr)
+
+
 # --- names looked up in the workspace --------------------------------------------------
 
 # Each workspace command, with names the demo workspace declares; and for each

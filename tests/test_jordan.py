@@ -15,13 +15,13 @@ from apackets.jordan import (
     ArthurParameter,
     JordanBlock,
     Quadruple,
-    from_quadruple,
     good_parity,
     to_quadruple,
     validate_parameter,
 )
 from _helpers import (
     blk,
+    from_quadruple,
     label,
     pairs_up_by_search,
     so_odd,

@@ -1,5 +1,6 @@
-"""The two pole-criterion routes, plus their coincidence with
-the per-block obstruction conditions re-derived independently here."""
+"""The pole-criterion table against the interval route of ``_helpers``, plus
+their coincidence with the per-block obstruction conditions re-derived
+independently here."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,10 @@ from hypothesis import strategies as st
 
 from apackets.core_types import MINUS, PLUS
 from apackets.jordan import Quadruple, to_quadruple
-from apackets.lfactors import (
-    pole_contribution_interval,
-    pole_contribution_table,
-    r_order,
-)
-from _helpers import blk, h, h2, soodd_param
+from apackets.lfactors import pole_contribution_table, r_order
+from _helpers import blk, h, h2, pole_contribution_interval, soodd_param
 
-# --- the two routes --------------------------------------------------------
+# --- the table route and the interval route --------------------------------
 
 
 def test_table_examples():

@@ -1,14 +1,20 @@
-"""Every public name in the package is read by a command, a script or an
-acceptance criterion; the package is exact and stdlib-only, assigns a
-field only in ``__init__``, and loads none of ``dataclasses``, ``inspect``,
-``argparse`` and ``gettext``.
+"""Every public name in the package is read by a command or a script; the
+package is exact and stdlib-only, assigns a field only in ``__init__``, and
+loads none of ``dataclasses``, ``inspect``, ``argparse`` and ``gettext``.
 
-The check parses ``src/apackets/*.py``, ``scripts/*.py`` and
-``tests/test_acceptance.py``. A public top-level function or class, or a
-public method of a top-level class, counts as used when some file names it
-outside its own definition: as a name, an attribute or an import (a
-docstring or a comment does not count). Names are matched as strings, not
-resolved, so a name reused elsewhere can hide an unused definition.
+The check parses ``src/apackets/*.py`` and ``scripts/*.py``, and no test: a
+name that only a test reads, an oracle or a unit test's target, belongs in
+the tests. A public top-level function or class, or a public method of a
+top-level class, counts as used when some file names it outside its own
+definition: as a name, an attribute or an import (a docstring or a comment
+does not count). Names are matched as strings, not resolved, so a name
+reused elsewhere can hide an unused definition.
+
+One name is exempt, in ``TEST_READ_ONLY``: ``cli.serialize_workspace``
+writes the canonical form that the fixtures and acceptance criterion 8
+check, and ROADMAP item 14 plans a command that calls it. The check fails
+too once a command or script reads an exempt name, so the list stays
+exact.
 """
 
 import ast
@@ -20,7 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "apackets").glob("*.py"))
-READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
+TEST_READ_ONLY = {"serialize_workspace"}
 TREES = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -53,9 +60,10 @@ def test_every_public_name_is_read_outside_its_definition():
         for node in _public_definitions(TREES[path]):
             own = sum(name == node.name for name in _names_read(node))
             if reads[node.name] == own:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append((node.name, f"{path.name}:{node.lineno}"))
     assert PACKAGE
-    assert unused == []
+    # Exactly the exempt names: an exemption lapses once a command reads it.
+    assert sorted(name for name, _ in unused) == sorted(TEST_READ_ONLY), unused
 
 
 def _imported_roots(node: ast.AST) -> list[str]:
