@@ -56,9 +56,8 @@ def main() -> None:
         blocks = [JordanBlock(rho="r", a=2, b=1), JordanBlock(rho="r", a=2, b=3)]
     else:
         blocks = [JordanBlock(rho="r", a=1, b=1), JordanBlock(rho="r", a=2, b=2)]
-    prime = target.prime_block()
-    if prime is not None:
-        blocks.append(prime)
+    if target.prime is not None:
+        blocks.append(target.prime)
     # One companion whose pole contributes to the normalization factor below.
     blocks.append(JordanBlock(rho="r", a=a0, b=b0 + 2))
 
@@ -90,7 +89,7 @@ def main() -> None:
     print(f"enlarged dimension: {psi_plus.group.rank_dim}")
 
     insert = None
-    if prime is None:
+    if target.prime is None:
         # The fresh block goes where the enlarged side's canonical order puts it.
         plus_order = [psi_plus.blocks[k]
                       for k in canonical_order(psi_plus.blocks, target, PSI_PLUS_SIDE)]
@@ -102,7 +101,7 @@ def main() -> None:
     print(f"order violations on the enlarged side: "
           f"{[v.code for v in validate_order(new_order, target, PSI_PLUS_SIDE)] or 'none'}")
 
-    if prime is not None:
+    if target.prime is not None:
         t0, eta0 = params.t[pivot], params.eta[pivot]
         print(f"\nsign identity for the pivot (t0={t0}, eta0={sign_str(eta0)}): "
               f"{check_sign_identity(a0, b0, t0, eta0)}")

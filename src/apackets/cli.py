@@ -284,7 +284,7 @@ def _workspace(got: dict, ctx: dict) -> Workspace:
     return Workspace(
         labels=got["labels"],
         group=got["group"],
-        lcontext=LContext.build(got["labels"]) if got["lfacts"] is None else got["lfacts"],
+        lcontext=LContext(got["labels"]) if got["lfacts"] is None else got["lfacts"],
         parameters=got["parameters"] or {},
         arch=got["arch"] or {},
         global_jords=got["global"] or {},
@@ -309,7 +309,7 @@ _GROUP = _Table(
     ("epsilon", _sign, PLUS, lambda group: sign_str(group.epsilon)),
 )
 _LFACTS = _Table(
-    lambda got, ctx: LContext.build(
+    lambda got, ctx: LContext(
         ctx["labels"], got["rg_pole_at_1"], got["central_nonvanishing"], got["central_vanishing"]
     ),
     ("rg_pole_at_1", _label_ids, (), lambda lc: sorted(lc.rg_pole_at_1)),

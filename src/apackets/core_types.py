@@ -170,24 +170,11 @@ class LContext(Value):
 
     def __init__(
         self,
-        universe: frozenset[str],
-        rg_pole_at_1: frozenset[str],
-        nonvanishing_pairs: frozenset[tuple[str, str]],
-        vanishing_pairs: frozenset[tuple[str, str]],
-    ):
-        self.universe = universe
-        self.rg_pole_at_1 = rg_pole_at_1
-        self.nonvanishing_pairs = nonvanishing_pairs
-        self.vanishing_pairs = vanishing_pairs
-
-    @classmethod
-    def build(
-        cls,
         universe: Iterable[str],
         rg_pole_at_1: Iterable[str] = (),
         nonvanishing: Iterable[tuple[str, str]] = (),
         vanishing: Iterable[tuple[str, str]] = (),
-    ) -> "LContext":
+    ):
         uni = frozenset(universe)
         pole = frozenset(rg_pole_at_1)
         nonzero = frozenset(_normalized_pair(a, b) for a, b in nonvanishing)
@@ -201,7 +188,10 @@ class LContext(Value):
         clash = nonzero & zero
         if clash:
             raise ValueError(f"pairs declared both nonvanishing and vanishing: {sorted(clash)}")
-        return cls(uni, pole, nonzero, zero)
+        self.universe = uni
+        self.rg_pole_at_1 = pole
+        self.nonvanishing_pairs = nonzero
+        self.vanishing_pairs = zero
 
     def query_central(self, rho: str, rho2: str) -> TriBool:
         """Whether the central value of the unordered pair (rho, rho2) is

@@ -17,9 +17,11 @@ PSI_PLUS_SIDE = "psi_plus"
 
 
 class TargetTriple:
-    """The block (rho, a0, b0) whose size is being enlarged from b0-2 to b0."""
+    """The block (rho, a0, b0) whose size is being enlarged from b0-2 to b0:
+    ``plus`` is the enlarged block (rho, a0, b0), ``prime`` the shrunken block
+    (rho, a0, b0-2) on the small side, None when b0 = 2."""
 
-    __slots__ = ("rho", "a0", "b0")
+    __slots__ = ("rho", "a0", "b0", "plus", "prime")
 
     def __init__(self, rho: str, a0: int, b0: int):
         if a0 < 1:
@@ -29,26 +31,8 @@ class TargetTriple:
         self.rho = rho
         self.a0 = a0
         self.b0 = b0
-
-    def prime_block(self) -> JordanBlock | None:
-        """The shrunken block (rho, a0, b0-2) present on the small side."""
-        if self.b0 == 2:
-            return None
-        return JordanBlock(self.rho, self.a0, self.b0 - 2)
-
-    def plus_block(self) -> JordanBlock:
-        """The enlarged block (rho, a0, b0)."""
-        return JordanBlock(self.rho, self.a0, self.b0)
-
-    def pivot_block(self, side: str) -> JordanBlock | None:
-        """The block whose designated copy is the pivot on ``side``: the
-        shrunken block on the small side (None when b0 = 2), the enlarged
-        block on the enlarged side."""
-        if side == PSI_SIDE:
-            return self.prime_block()
-        if side == PSI_PLUS_SIDE:
-            return self.plus_block()
-        raise ValueError(f"unknown side: {side!r}")
+        self.plus = JordanBlock(rho, a0, b0)
+        self.prime = None if b0 == 2 else JordanBlock(rho, a0, b0 - 2)
 
     @property
     def is_exceptional(self) -> bool:
@@ -207,13 +191,15 @@ def locate_pivot(
 ) -> int | None:
     """Index of the designated copy of the target's own block in the list.
 
-    On the small side the pivot is the shrunken block (highest copy in the
+    On the small side the pivot is ``target.prime`` (highest copy in the
     normal case, lowest in the exceptional case); on the enlarged side it is
-    the enlarged block (always the lowest copy). Returns None only on the
+    ``target.plus`` (always the lowest copy). Returns None only on the
     small side when b0 = 2 (no shrunken block exists); raises when the
     required block is absent.
     """
-    pivot_block = target.pivot_block(side)
+    if side not in (PSI_SIDE, PSI_PLUS_SIDE):
+        raise ValueError(f"unknown side: {side!r}")
+    pivot_block = target.prime if side == PSI_SIDE else target.plus
     if pivot_block is None:
         return None
     indices = [i for i, blk in enumerate(blocks) if blk == pivot_block]
@@ -299,7 +285,7 @@ def validate_order(
     block when b0 > 2) or the enlarged side (contains the enlarged block).
     """
     # pq's A and B (all that _LIMITS reads) are derive_prime_block's.
-    tq, pq = target.plus_block(), target.prime_block()
+    tq, pq = target.plus, target.prime
     pivot = locate_pivot(blocks, target, side)
     violations = _monotonicity_violations(blocks)
 

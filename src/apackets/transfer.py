@@ -23,8 +23,8 @@ def check_target_parity(
 ) -> None:
     """Raise unless the enlarged block (rho, a0, b0) is of good parity for
     ``group``: only such a block can be enlarged or ordered against."""
-    if not good_parity(target.plus_block(), group, labels):
-        raise ValueError(f"target block {target.plus_block()} is not of good parity")
+    if not good_parity(target.plus, group, labels):
+        raise ValueError(f"target block {target.plus} is not of good parity")
 
 
 def build_psi_plus(
@@ -47,15 +47,14 @@ def build_psi_plus(
         )
 
     blocks = list(psi.blocks)
-    prime = target.prime_block()
-    if prime is None:
-        blocks.append(target.plus_block())
+    if target.prime is None:
+        blocks.append(target.plus)
     else:
         try:
-            idx = blocks.index(prime)
+            idx = blocks.index(target.prime)
         except ValueError:
-            raise ValueError(f"required block {prime} absent from the parameter") from None
-        blocks[idx] = target.plus_block()
+            raise ValueError(f"required block {target.prime} absent from the parameter") from None
+        blocks[idx] = target.plus
 
     grown = GroupType(
         psi.group.kind,
@@ -138,13 +137,13 @@ def apply_transfer(
             )
         pivot = insert_position
         # A placeholder for the empty shrunken block, at its one pair (0, +).
-        order.insert(pivot, target.plus_block())
+        order.insert(pivot, target.plus)
         t_list.insert(pivot, 0)
         eta_list.insert(pivot, PLUS)
     else:
         pivot = locate_pivot(order, target, PSI_SIDE)
         assert pivot is not None
-    order[pivot] = target.plus_block()
+    order[pivot] = target.plus
     t_list[pivot], eta_list[pivot] = transfer_params(
         t_list[pivot], eta_list[pivot], target.a0, target.b0
     )

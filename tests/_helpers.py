@@ -483,19 +483,26 @@ def _canonical_key_by_quadruple(block: JordanBlock) -> tuple:
     return (q.A_x2, q.B_x2, 0 if q.zeta == MINUS else 1, block.rho, block.twist)
 
 
+def pivot_block(target: TargetTriple, side: str) -> JordanBlock | None:
+    """The block whose designated copy is the pivot on ``side``: the
+    shrunken block on the small side (None when b0 = 2), the enlarged block
+    on the enlarged side."""
+    return target.prime if side == PSI_SIDE else target.plus
+
+
 def canonical_order_by_remove(blocks, target: TargetTriple, side: str = PSI_SIDE):
     """canonical_order as it was before it asked locate_pivot for the pivot:
     take out the first copy equal to the pivot block, sort the rest, and put
     the copy back at the pivot's A-threshold. Coordinates come from
     to_quadruple and derive_prime_block, not from the blocks' own fields."""
-    pivot_block = target.pivot_block(side)
-    if pivot_block is None:  # small side with b0 = 2: nothing to place
+    pivot = pivot_block(target, side)
+    if pivot is None:  # small side with b0 = 2: nothing to place
         return tuple(sorted(blocks, key=_canonical_key_by_quadruple))
     rest = list(blocks)
     try:
-        rest.remove(pivot_block)
+        rest.remove(pivot)
     except ValueError:
-        raise ValueError(f"required block {pivot_block} absent from Jord") from None
+        raise ValueError(f"required block {pivot} absent from Jord") from None
     rest.sort(key=_canonical_key_by_quadruple)
     if target.is_exceptional:
         pos = 0
@@ -505,7 +512,7 @@ def canonical_order_by_remove(blocks, target: TargetTriple, side: str = PSI_SIDE
     else:
         tq = to_quadruple(target.a0, target.b0)
         pos = sum(1 for b in rest if to_quadruple(b.a, b.b).A_x2 < tq.A_x2)
-    rest.insert(pos, pivot_block)
+    rest.insert(pos, pivot)
     return tuple(rest)
 
 

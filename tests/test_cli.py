@@ -795,8 +795,10 @@ def test_packet_list_bytes_match_oracle(capsys, tmp_path):
 
 @pytest.mark.parametrize("epsilon", [1, -1])
 def test_packet_count_forty_blocks(capsys, tmp_path, epsilon):
-    # About 2.5 * 10^22 choices: the count must come from the closed form, not a search.
-    sizes = [(1 + k % 7, 1 + (3 * k) % 8) for k in range(40)]
+    # About 1.8 * 10^23 choices: the count must come from the closed form, not a search.
+    # Every block has good parity for SOodd (a + b odd), so validate accepts them
+    # unpaired: b grows by 1 where (1 + k % 7) + (1 + (3k) % 8) is even.
+    sizes = [(a, b + 1 - (a + b) % 2) for a, b in ((1 + k % 7, 1 + (3 * k) % 8) for k in range(40))]
     ws = tmp_path / "ws.json"
     ws.write_text(_own_dim_doc([{"rho": "r", "a": a, "b": b} for a, b in sizes]))
     sign = "+" if epsilon > 0 else "-"
@@ -938,18 +940,27 @@ def test_order_missing_pivot_message(capsys, mode):
 def _repeated_pivot_orders(draw):
     """A target, a side, and a shuffled list of (rho, a, b, twist) rows holding
     several copies of that side's pivot block, copies of it that differ only
-    in twist, a u/v pair of equal sizes, and repeats of other blocks."""
+    in twist, a u/v pair of equal sizes, and repeats of other blocks. Each
+    block that validate would leave unpaired comes with its partner: the
+    twist twins as a pair, (r,2,3; 1/5) with (r,2,3; -1/5), u with v, and a
+    bad-parity r block twice."""
     exceptional = draw(st.booleans())
     a0 = draw(st.integers(2, 4))
     b0 = a0 + 1 if exceptional else draw(st.integers(3, 6).filter(lambda b: b != a0 + 1))
     side = draw(st.sampled_from(["psi", "psi_plus"]))
     pivot = ("r", a0, b0 - 2 if side == "psi" else b0, ZERO_TWIST)
     twins = [pivot[:3] + (Fraction(1, 3),), pivot[:3] + (Fraction(-1, 3),)]
-    others = draw(st.lists(st.sampled_from([
+    # The group is SOodd when a0 + b0 is odd, Sp when even: an r block has
+    # good parity exactly when a + b has the parity of a0 + b0.
+    units = [[row] if (row[1] + row[2] - a0 - b0) % 2 == 0 else [row, row] for row in [
         ("r", 1, 1, ZERO_TWIST), ("r", 2, 1, ZERO_TWIST), ("r", 2, 3, ZERO_TWIST),
-        ("r", 3, 3, ZERO_TWIST), ("r", a0, b0 + 2, ZERO_TWIST), ("r", 2, 3, Fraction(1, 5)),
-        ("u", 2, 2, ZERO_TWIST), ("v", 2, 2, ZERO_TWIST), *twins,
-    ]), max_size=8))
+        ("r", 3, 3, ZERO_TWIST), ("r", a0, b0 + 2, ZERO_TWIST),
+    ]]
+    units += [
+        [("r", 2, 3, Fraction(1, 5)), ("r", 2, 3, Fraction(-1, 5))],
+        [("u", 2, 2, ZERO_TWIST), ("v", 2, 2, ZERO_TWIST)], twins,
+    ]
+    others = [row for unit in draw(st.lists(st.sampled_from(units), max_size=8)) for row in unit]
     copies = draw(st.integers(2, 4))
     rows = draw(st.permutations([pivot] * copies + others))
     return a0, b0, side, rows

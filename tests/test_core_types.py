@@ -133,7 +133,7 @@ def test_kleene_and():
 
 
 def _ctx():
-    return LContext.build(
+    return LContext(
         universe=["rho1", "rho2", "rho3"],
         rg_pole_at_1=["rho1"],
         nonvanishing=[("rho1", "rho2")],
@@ -172,12 +172,13 @@ def test_lcontext_unknown_label_raises():
 
 
 def test_lcontext_build_validation():
-    with pytest.raises(ValueError):
-        LContext.build(["a"], rg_pole_at_1=["b"])
-    with pytest.raises(ValueError):
-        LContext.build(["a"], nonvanishing=[("a", "b")])
-    with pytest.raises(ValueError):
-        LContext.build(
+    # The constructor runs the checks.
+    with pytest.raises(ValueError, match="undeclared label in rg_pole_at_1: 'b'"):
+        LContext(["a"], rg_pole_at_1=["b"])
+    with pytest.raises(ValueError, match=re.escape("central-value pair: ('a', 'b')")):
+        LContext(["a"], nonvanishing=[("a", "b")])
+    with pytest.raises(ValueError, match="both nonvanishing and vanishing"):
+        LContext(
             ["a", "b"], nonvanishing=[("a", "b")], vanishing=[("b", "a")]
         )
 

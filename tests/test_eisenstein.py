@@ -23,7 +23,7 @@ T, F, U = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
 
 
 def _ctx(**kwargs):
-    return LContext.build(universe={"rho", "rho2", "rho3"}, **kwargs)
+    return LContext(universe={"rho", "rho2", "rho3"}, **kwargs)
 
 
 # --- global datum --------------------------------------------------------------

@@ -34,6 +34,7 @@ from _helpers import (
     canonical_blocks,
     canonical_order_by_remove,
     closed_form_count,
+    pivot_block,
     sign_dp_count,
     validate_order_all_pairs,
 )
@@ -326,6 +327,21 @@ def test_prime_block_coordinates_grid():
                 assert pq.B_x2 == tq.B_x2 + 2 * tq.zeta  # B0 +- 1
 
 
+def test_target_triple_blocks():
+    # Both blocks are built once; validate_order reads the shrunken block's
+    # A and B where derive_prime_block's are meant.
+    for a0 in range(1, 13):
+        for b0 in range(2, 13):
+            t = TargetTriple("r", a0, b0)
+            assert t.plus == blk("r", a0, b0)
+            if b0 == 2:
+                assert t.prime is None
+                continue
+            pq = derive_prime_block(a0, b0)
+            assert t.prime == blk("r", a0, b0 - 2)
+            assert (t.prime.A_x2, t.prime.B_x2) == (pq.A_x2, pq.B_x2)
+
+
 # --- pivot location -----------------------------------------------------------------
 
 
@@ -353,6 +369,13 @@ def test_locate_pivot_lowest_copy_exceptional_and_plus_side():
 def test_locate_pivot_bad_side():
     with pytest.raises(ValueError):
         locate_pivot([blk("r", 3, 2)], TargetTriple("r", 3, 4), "nope")
+
+
+@pytest.mark.parametrize("check", [locate_pivot, validate_order, canonical_order])
+def test_unknown_side_is_refused(check):
+    with pytest.raises(ValueError) as exc:
+        check([blk("r", 3, 2)], TargetTriple("r", 3, 4), "x")
+    assert str(exc.value) == "unknown side: 'x'"
 
 
 # --- order validation ----------------------------------------------------------------
@@ -546,7 +569,7 @@ def _pivot_copies_case(draw):
     blocks += [blk("rs", a, b) for a, b in draw(sizes)[:2]]
     blocks += [blk("r", a, b, Fraction(1, 4)) for a, b in draw(sizes)[:2]]
     blocks += draw(st.lists(st.sampled_from(blocks), max_size=3)) if blocks else []
-    pivot = target.pivot_block(side)
+    pivot = pivot_block(target, side)
     if pivot is not None:
         blocks += [pivot] * draw(st.integers(1, 4))
     return draw(st.permutations(blocks)), target, side
@@ -591,13 +614,13 @@ def test_canonical_order_always_validates(case):
     blocks, target = case
     # small side needs the shrunken block present when b0 > 2
     psi_blocks = list(blocks)
-    prime = target.prime_block()
+    prime = target.prime
     if prime is not None:
         psi_blocks.append(prime)
     out = canonical_blocks(psi_blocks, target, PSI_SIDE)
     assert validate_order(out, target, PSI_SIDE) == [], (psi_blocks, target)
 
-    plus_blocks = list(blocks) + [target.plus_block()]
+    plus_blocks = list(blocks) + [target.plus]
     out_plus = canonical_blocks(plus_blocks, target, PSI_PLUS_SIDE)
     assert validate_order(out_plus, target, PSI_PLUS_SIDE) == [], (
         plus_blocks,
@@ -611,7 +634,7 @@ def test_inserting_sorted_block_never_breaks_p(case):
     """Adding one more block at its sorted position keeps monotonicity."""
     blocks, target = case
     psi_blocks = list(blocks)
-    prime = target.prime_block()
+    prime = target.prime
     if prime is not None:
         psi_blocks.append(prime)
     out = list(canonical_blocks(psi_blocks, target, PSI_SIDE))
@@ -643,7 +666,7 @@ def _random_order_case(rng):
     if rng.random() < 0.3:  # twisted blocks on the target's own label
         blocks += [blk("r", rng.randint(1, 6), rng.randint(1, 6), Fraction(1, 4)) for _ in range(2)]
     blocks += rng.sample(blocks, min(len(blocks), rng.randint(0, 3)))  # duplicates
-    pivot = target.pivot_block(side)
+    pivot = pivot_block(target, side)
     if pivot is not None:
         blocks += [pivot] * rng.randint(1, 2)
     if rng.random() < 0.5:

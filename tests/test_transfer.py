@@ -229,7 +229,7 @@ def _reduced_blocks(ordered_plus, target):
     """Small-side order read back from the enlarged side: the enlarged
     side's pivot goes back to the shrunken block (b0 > 2)."""
     blocks = list(ordered_plus)
-    blocks[locate_pivot(blocks, target, PSI_PLUS_SIDE)] = target.prime_block()
+    blocks[locate_pivot(blocks, target, PSI_PLUS_SIDE)] = target.prime
     return tuple(blocks)
 
 
@@ -259,7 +259,7 @@ def test_apply_transfer_replaces_only_the_pivot(a0, b0, extra_sizes):
     target = TargetTriple("r", a0, b0)
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
-    blocks.append(target.prime_block())
+    blocks.append(target.prime)
     ordered = canonical_blocks(blocks, target, PSI_SIDE)
     pivot = locate_pivot(ordered, target, PSI_SIDE)
     # t grows with the position where the block's range allows, so a shifted
@@ -268,7 +268,7 @@ def test_apply_transfer_replaces_only_the_pivot(a0, b0, extra_sizes):
     params = PacketParams(t=t, eta=(PLUS,) * len(ordered))
     new_order, new_params, position = apply_transfer(ordered, params, target)
     expected = list(ordered)
-    expected[pivot] = target.plus_block()
+    expected[pivot] = target.plus
     assert new_order == tuple(expected)
     assert [x for k, x in enumerate(new_params.t) if k != pivot] == [
         x for k, x in enumerate(t) if k != pivot
@@ -276,7 +276,7 @@ def test_apply_transfer_replaces_only_the_pivot(a0, b0, extra_sizes):
     # The reported position holds the enlarged block and the pivot's
     # transported coordinates.
     assert position == pivot
-    assert new_order[position] == target.plus_block()
+    assert new_order[position] == target.plus
     assert (new_params.t[position], new_params.eta[position]) == transfer_params(
         t[pivot], PLUS, a0, b0
     )
@@ -292,7 +292,7 @@ def test_reduced_of_induced_is_identity(a0, b0, extra_sizes):
     target = TargetTriple("r", a0, b0)
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
-    blocks.append(target.prime_block())
+    blocks.append(target.prime)
     ordered = canonical_blocks(blocks, target, PSI_SIDE)
     back = _reduced_blocks(_transported_order(ordered, target), target)
     assert back == ordered
@@ -327,11 +327,11 @@ def test_apply_transfer_scans_for_the_pivot_once(a0, b0, copies, extra_sizes):
     target = TargetTriple("r", a0, b0)
     parity = (a0 + b0) % 2
     blocks = [blk("r", a, b) for a, b in extra_sizes if (a + b) % 2 == parity]
-    blocks += [target.prime_block()] * copies
+    blocks += [target.prime] * copies
     ordered = canonical_blocks(blocks, target, PSI_SIDE)
     params = PacketParams(t=(0,) * len(blocks), eta=(PLUS,) * len(blocks))
     expected = list(ordered)
-    expected[locate_pivot(ordered, target, PSI_SIDE)] = target.plus_block()
+    expected[locate_pivot(ordered, target, PSI_SIDE)] = target.plus
     with mock.patch("apackets.transfer.locate_pivot", wraps=locate_pivot) as spy:
         new_order, _, _ = apply_transfer(ordered, params, target)
     assert spy.call_count == 1
@@ -349,7 +349,7 @@ def test_apply_transfer_fresh_block():
     # The reported position is the fresh block's, with the coordinates the
     # rule gives the empty shrunken block.
     assert position == 1
-    assert new_order[position] == target.plus_block()
+    assert new_order[position] == target.plus
     assert (new_params.t[position], new_params.eta[position]) == transfer_params(0, PLUS, 4, 2)
 
 
