@@ -4,12 +4,9 @@ attached to a global block datum, from declared analytic facts."""
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
-from .core_types import LContext, TriBool, Value, kleene_and
-
-RationalLike = Union[Fraction, int]
+from .core_types import LContext, TriBool, Value, halfint_str, kleene_and
 
 
 class GlobalJord(Value):
@@ -48,40 +45,35 @@ class EisensteinVerdict(NamedTuple):
 
 
 def global_pole_conditions(
-    jord: GlobalJord, rho: str, s0: RationalLike, ctx: LContext
+    jord: GlobalJord, rho: str, s0_x2: int, ctx: LContext
 ) -> tuple[bool, TriBool]:
     """The two conditions governing a pole at s0 >= 1/2.
 
     Condition 1: at s0 = 1/2, the degree-two factor of rho has its pole at 1;
-    at half-integral s0 >= 1, the pair (rho, 2*s0 - 1) lies in the datum.
+    at s0 >= 1, the pair (rho, 2*s0 - 1) lies in the datum.
     Condition 2: for every (rho', 2*s0) in the datum, the central value of
     the pair (rho, rho') is nonzero — three-valued, vacuously true.
-    Non-half-integral s0 makes both conditions false; s0 < 1/2 raises.
+    s0 < 1/2 raises.
     """
-    s = Fraction(s0)
-    if s < Fraction(1, 2):
-        raise ValueError(f"s0 must be >= 1/2, got {s}")
+    if s0_x2 < 1:
+        raise ValueError(f"s0 must be >= 1/2, got {halfint_str(s0_x2)}")
     if rho not in ctx.universe:
         raise ValueError(f"undeclared label: {rho!r}")
-    if s.denominator > 2:
-        return False, TriBool.FALSE
-    two_s0 = int(2 * s)
-
-    if s == Fraction(1, 2):
+    if s0_x2 == 1:
         cond1 = ctx.has_rg_pole_at_1(rho)
     else:
-        cond1 = (rho, two_s0 - 1) in jord.pairs
+        cond1 = (rho, s0_x2 - 1) in jord.pairs
 
-    central = [ctx.query_central(rho, rho2) for rho2, b2 in jord.pairs if b2 == two_s0]
+    central = [ctx.query_central(rho, rho2) for rho2, b2 in jord.pairs if b2 == s0_x2]
     return cond1, kleene_and(central)
 
 
 def eisenstein_verdict(
-    jord: GlobalJord, rho: str, s0: RationalLike, ctx: LContext
+    jord: GlobalJord, rho: str, s0_x2: int, ctx: LContext
 ) -> EisensteinVerdict:
     """Pole-order-at-most-one exactly when both conditions definitively hold;
     holomorphic otherwise (an Unknown second condition stays visible)."""
-    cond1, cond2 = global_pole_conditions(jord, rho, s0, ctx)
+    cond1, cond2 = global_pole_conditions(jord, rho, s0_x2, ctx)
     if cond1 and cond2 is TriBool.TRUE:
         kind = VerdictKind.POLE_ORDER_AT_MOST_ONE
     else:

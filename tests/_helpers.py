@@ -17,6 +17,7 @@ Good-parity bookkeeping for the dim-1 orthogonal label ``r``:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from apackets.cli import canonical_json
@@ -27,11 +28,13 @@ from apackets.core_types import (
     GroupKind,
     GroupType,
     Parity,
+    TriBool,
     Violation,
     check_sign,
     halfint_str,
     sign_str,
 )
+from apackets.eisenstein import ResidueOutcome
 from apackets.jordan import ArthurParameter, JordanBlock, good_parity, to_quadruple
 from apackets.packets import (
     PSI_SIDE,
@@ -519,3 +522,36 @@ def canonical_order_by_remove(blocks, target: TargetTriple, side: str = PSI_SIDE
 def canonical_blocks(blocks, target: TargetTriple, side: str = PSI_SIDE) -> tuple:
     """The blocks at the positions canonical_order returns, in that order."""
     return tuple(blocks[k] for k in canonical_order(blocks, target, side))
+
+
+# --- three-valued residue over every completion of the unknown facts ----------
+
+
+def residue_over_completions(pairs, rho: str, s0_x2: int, central, rg_pole_at_1,
+                             places) -> ResidueOutcome:
+    """The residue at s0 that every two-valued completion of the unknown
+    facts gives, or UNDETERMINED when two completions disagree.
+
+    ``central`` maps each sorted label pair to the TriBool declared for its
+    central value, ``rg_pole_at_1`` is the set of labels with the pole at 1,
+    and ``places`` lists one TriBool per place. A completion replaces each
+    UNKNOWN central value and each UNKNOWN place by true or false. In one
+    completion, cond1 is the pole at 1 of rho when s0 = 1/2 and the pair
+    (rho, 2*s0 - 1) otherwise; cond2 is every (rho', 2*s0) in ``pairs``
+    having a nonzero central value with rho; the residue is pi_plus when
+    both hold and every place is nonvanishing, and none otherwise.
+    """
+    open_pairs = [pair for pair, value in central.items() if value is TriBool.UNKNOWN]
+    open_places = [k for k, value in enumerate(places) if value is TriBool.UNKNOWN]
+    seen = set()
+    for fill in product((True, False), repeat=len(open_pairs) + len(open_places)):
+        nonzero = {pair: value is TriBool.TRUE for pair, value in central.items()}
+        nonzero.update(zip(open_pairs, fill))
+        local = [value is TriBool.TRUE for value in places]
+        for k, value in zip(open_places, fill[len(open_pairs):]):
+            local[k] = value
+        cond1 = rho in rg_pole_at_1 if s0_x2 == 1 else (rho, s0_x2 - 1) in pairs
+        cond2 = all(nonzero[tuple(sorted((rho, rho2)))] for rho2, b in pairs if b == s0_x2)
+        pole = cond1 and cond2 and all(local)
+        seen.add(ResidueOutcome.RESIDUE_IS_PI_PLUS if pole else ResidueOutcome.NO_RESIDUE)
+    return seen.pop() if len(seen) == 1 else ResidueOutcome.UNDETERMINED

@@ -9,7 +9,6 @@ import itertools
 import json
 import random
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,30 +252,29 @@ def test_criterion_7_eisenstein_fixture():
         ResidueOutcome.UNDETERMINED,
     )
     cases = [
-        # (jord pairs, rho, s0, kind, cond1, cond2, places, residue)
-        ([("r", 3)], "r", Fraction(2), POLE, True, T, [T], PI),
-        ([("r", 3)], "r", Fraction(2), POLE, True, T, [], PI),
-        ([("r", 3)], "r", Fraction(2), POLE, True, T, [T, U], UND),
-        ([("r", 3)], "r", Fraction(2), POLE, True, T, [U, F], NONE_),
-        ([("r", 3), ("s", 3)], "r", Fraction(3, 2), HOLO, False, F, [T], NONE_),
-        ([("r", 2)], "r", Fraction(1, 2), POLE, True, T, [T], PI),
-        ([("s", 2)], "s", Fraction(1, 2), HOLO, False, T, [T], NONE_),
-        ([("r", 1), ("w", 2)], "r", Fraction(1), HOLO, True, U, [T], NONE_),
-        ([("r", 1), ("r", 2)], "r", Fraction(1), POLE, True, T, [T, T], PI),
-        ([("r", 3)], "r", Fraction(3, 4), HOLO, False, F, [T], NONE_),
-        ([("r", 4)], "r", Fraction(2), HOLO, False, T, [T], NONE_),
+        # (jord pairs, rho, s0_x2, kind, cond1, cond2, places, residue)
+        ([("r", 3)], "r", 4, POLE, True, T, [T], PI),
+        ([("r", 3)], "r", 4, POLE, True, T, [], PI),
+        ([("r", 3)], "r", 4, POLE, True, T, [T, U], UND),
+        ([("r", 3)], "r", 4, POLE, True, T, [U, F], NONE_),
+        ([("r", 3), ("s", 3)], "r", 3, HOLO, False, F, [T], NONE_),
+        ([("r", 2)], "r", 1, POLE, True, T, [T], PI),
+        ([("s", 2)], "s", 1, HOLO, False, T, [T], NONE_),
+        ([("r", 1), ("w", 2)], "r", 2, HOLO, True, U, [T], NONE_),
+        ([("r", 1), ("r", 2)], "r", 2, POLE, True, T, [T, T], PI),
+        ([("r", 4)], "r", 4, HOLO, False, T, [T], NONE_),
     ]
-    for pairs, rho, s0, kind, cond1, cond2, places, residue in cases:
+    for pairs, rho, s0_x2, kind, cond1, cond2, places, residue in cases:
         jord = GlobalJord(tuple(pairs))
-        verdict = eisenstein_verdict(jord, rho, s0, ctx)
-        assert verdict.kind is kind, (pairs, rho, s0)
-        assert verdict.cond1 is cond1, (pairs, rho, s0)
-        assert verdict.cond2 is cond2, (pairs, rho, s0)
-        assert residue_verdict(verdict, places) is residue, (pairs, rho, s0, places)
+        verdict = eisenstein_verdict(jord, rho, s0_x2, ctx)
+        assert verdict.kind is kind, (pairs, rho, s0_x2)
+        assert verdict.cond1 is cond1, (pairs, rho, s0_x2)
+        assert verdict.cond2 is cond2, (pairs, rho, s0_x2)
+        assert residue_verdict(verdict, places) is residue, (pairs, rho, s0_x2, places)
     with pytest.raises(ValueError):
-        global_pole_conditions(GlobalJord((("r", 3),)), "r", Fraction(1, 4), ctx)
+        global_pole_conditions(GlobalJord((("r", 3),)), "r", 0, ctx)
     with pytest.raises(ValueError):
-        global_pole_conditions(GlobalJord((("r", 3),)), "zz", Fraction(1), ctx)
+        global_pole_conditions(GlobalJord((("r", 3),)), "zz", 2, ctx)
     print(f"\nPASS criterion 7: verdict fixture covers {len(cases)} cases plus 2 error paths")
 
 

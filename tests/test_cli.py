@@ -1179,10 +1179,10 @@ def test_eisenstein_holomorphic(capsys):
 
 
 def test_eisenstein_s0_exact_forms(capsys):
-    # Decimals and fractions are the same exact rational; a value outside the
-    # domain is a domain failure, not a usage error.
+    # A half-integer is read in either form; one below 1/2 is a domain
+    # failure, not a usage error.
     argv = ("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r", "--s0")
-    assert _run(capsys, *argv, "1.5") == _run(capsys, *argv, "3/2")
+    assert _run(capsys, *argv, "4/2") == _run(capsys, *argv, "2")
     assert _run(capsys, *argv, "2")[0] == EXIT_OK
     code, payload = _run_json(capsys, *argv, "-1/2")
     assert (code, payload) == (EXIT_FAIL, {"error": "s0 must be >= 1/2, got -1/2"})
@@ -1222,13 +1222,16 @@ def test_negative_option_values(capsys, prefix, option, value):
         (("infchar", "-w", str(DEMO), "--arch", "AI", "--a-tau", "1"), "--s0", "half"),
         (("arch-order", "-w", str(DEMO), "--arch", "AR", "--a-tau", "2"), "--s0", "5/4"),
         (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1/0"),
-        # Fraction would expand an exponent as 10 ** e, so a short value
-        # such as 1e999999999 could run for hours: no exponent notation.
+        # eisenstein's --s0 is a half-integer like every other --s0: no
+        # exponent notation, no decimal and no other rational.
         (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1e5"),
         (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1E-3"),
+        (("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r"), "--s0", "1.5"),
+        (("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r"), "--s0", "3/4"),
     ],
     ids=["irreducible-x", "pole-order-s0", "jac-exponents", "jac-from", "infchar-s0",
-         "arch-order-s0", "eisenstein-s0", "eisenstein-s0-1e5", "eisenstein-s0-1E-3"],
+         "arch-order-s0", "eisenstein-s0", "eisenstein-s0-1e5", "eisenstein-s0-1E-3",
+         "eisenstein-s0-decimal", "eisenstein-s0-quarter"],
 )
 def test_malformed_number_option_is_a_usage_error(capsys, argv, option, value):
     code, out, err = _run(capsys, *argv, f"{option}={value}")
