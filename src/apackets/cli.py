@@ -8,6 +8,7 @@ success, 2 on validation/domain failure, 64 on usage errors.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .core_types import (
     Parity,
     TriBool,
     parse_halfint,
+    parse_int,
     parse_sign,
     sign_str,
 )
@@ -507,20 +509,23 @@ def canonical_json(value: Any) -> str:
     return "".join(out)
 
 
-def _packet_list_json(
-    epsilon: int, blocks: Sequence[JordanBlock], members: Sequence[PacketParams]
-) -> str:
+def _packet_list_json(epsilon: int, members: Sequence[PacketParams]) -> str:
     """``canonical_json({"epsilon": ..., "params": [{"eta": [...], "t": [...]}]})``
-    for the members of a nonempty block list (which has members of either
-    sign), written from lines rendered once: one per sign and one per t value
-    up to the largest floor(min(a, b)/2)."""
+    for at least one member over a nonempty block list. Each distinct eta
+    list is rendered once, as a member's text up to its t values, and each
+    distinct t list once, as the rest; a member is the concatenation of its
+    two renderings."""
     eta_line = {PLUS: '        "+"', MINUS: '        "-"'}.__getitem__
-    top = max(min(blk.a, blk.b) for blk in blocks) // 2
-    t_line = [f"        {t}" for t in range(top + 1)].__getitem__
+    ts, etas = zip(*members)
+    # The first t value's indent ends the opening; the others' start each separator.
+    opening = {
+        eta: '    {\n      "eta": [\n' + ",\n".join(map(eta_line, eta))
+        + '\n      ],\n      "t": [\n        '
+        for eta in set(etas)
+    }
+    closing = {t: ",\n        ".join(map(str, t)) + "\n      ]\n    }" for t in set(ts)}
     body = ",\n".join(
-        '    {\n      "eta": [\n' + ",\n".join(map(eta_line, p.eta))
-        + '\n      ],\n      "t": [\n' + ",\n".join(map(t_line, p.t)) + "\n      ]\n    }"
-        for p in members
+        map(operator.add, map(opening.__getitem__, etas), map(closing.__getitem__, ts))
     )
     return f'{{\n  "epsilon": "{sign_str(epsilon)}",\n  "params": [\n{body}\n  ]\n}}\n'
 
@@ -555,7 +560,7 @@ def _one_of(values: Mapping[str, Any]):
     return _expect(values.__getitem__, f"one of {', '.join(values)}")
 
 
-_integer = _expect(int, "an integer")
+_integer = _expect(parse_int, "an integer")
 _halfint = _expect(parse_halfint, "a half-integer such as 3 or -3/2")
 
 
@@ -586,7 +591,7 @@ def _cmd_packet(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict | str]:
             "epsilon": sign_str(epsilon),
             "params": [{"t": [], "eta": []} for _ in members],
         }
-    return EXIT_OK, _packet_list_json(epsilon, blocks, members)
+    return EXIT_OK, _packet_list_json(epsilon, members)
 
 
 def _cmd_order(args: SimpleNamespace, ws: Workspace) -> tuple[int, dict]:

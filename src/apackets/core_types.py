@@ -45,12 +45,22 @@ def halfint_str(doubled: int) -> str:
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
+def parse_int(text: str) -> int:
+    """Parse an optionally signed run of ASCII digits, surrounding whitespace
+    allowed. ``int()`` alone also takes ``_`` and any Unicode decimal digit."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_halfint(text: str) -> int:
     """Parse 'n' or 'k/2' (optionally signed) into the doubled int."""
     text = text.strip()
     if text.endswith("/2"):
-        return int(text[:-2])
-    return 2 * int(text)
+        return parse_int(text[:-2])
+    return 2 * parse_int(text)
 
 
 class Parity(enum.Enum):

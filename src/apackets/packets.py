@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
 from .core_types import MINUS, PLUS, Violation, check_sign, sign_str
@@ -157,9 +158,10 @@ def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[Packe
     """All packet parameters passing both conditions, in lexicographic order
     of the per-block (t, eta) choices.
 
-    Only members are built: each choice on all blocks but the last is
-    completed by exactly those (t, eta) of the last block whose sign makes
-    the product epsilon.
+    Only members are built: ``itertools.product`` walks the choices on all
+    blocks but the last, each choice is taken apart into its t values, etas
+    and block signs by one ``zip``, and it is completed by exactly those
+    (t, eta) of the last block whose sign makes the product epsilon.
     """
     check_sign(epsilon)
     if not blocks:
@@ -176,12 +178,9 @@ def enumerate_params(blocks: Sequence[JordanBlock], epsilon: int) -> tuple[Packe
     }
     found: list[PacketParams] = []
     for choice in itertools.product(*head):
-        product = PLUS
-        for _, _, sign in choice:
-            product *= sign
-        ts = tuple(t for t, _, _ in choice)
-        etas = tuple(eta for _, eta, _ in choice)
-        for t, eta in completing[product]:
+        # One block has an empty head: product() yields one empty choice.
+        ts, etas, signs = zip(*choice) if choice else ((), (), ())
+        for t, eta in completing[math.prod(signs)]:
             found.append(PacketParams(ts + (t,), etas + (eta,)))
     return tuple(found)
 

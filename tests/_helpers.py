@@ -44,7 +44,6 @@ from apackets.packets import (
     canonical_order,
     check_constraint1,
     derive_prime_block,
-    enumerate_params,
     locate_pivot,
 )
 
@@ -132,15 +131,41 @@ def sign_excess(a: int, b: int) -> int:
     )
 
 
+def brute_force_choices(blocks, epsilon: int) -> list[tuple[tuple[int, int], ...]]:
+    """Independent enumeration: all raw (t, eta) per block, filtered by the
+    two constraints written out directly. Each member is its tuple of
+    per-block (t, eta), in lexicographic order."""
+    per_block = []
+    for b in blocks:
+        m = min(b.a, b.b)
+        opts = []
+        for t in range(m // 2 + 1):
+            for eta in (PLUS, MINUS):
+                if 2 * t == m and eta == MINUS:
+                    continue
+                opts.append((t, eta))
+        per_block.append(opts)
+    out = []
+    for choice in product(*per_block):
+        sign = 1
+        for b, (t, eta) in zip(blocks, choice):
+            m = min(b.a, b.b)
+            sign *= (eta ** m) * ((-1) ** (m // 2 + t))
+        if sign == epsilon:
+            out.append(choice)
+    return out
+
+
 def packet_list_json(blocks, epsilon: int) -> str:
-    """The answer of `packet --list`: its payload as one dict per member,
-    written by canonical_json. The oracle of the command's line templates."""
+    """The answer of `packet --list`: its payload as one dict per member of
+    the brute-force enumeration, written by canonical_json. The oracle of the
+    command's renderer, and through it of ``enumerate_params``."""
     return canonical_json(
         {
             "epsilon": sign_str(epsilon),
             "params": [
-                {"t": list(p.t), "eta": [sign_str(e) for e in p.eta]}
-                for p in enumerate_params(blocks, epsilon)
+                {"t": [t for t, _ in choice], "eta": [sign_str(e) for _, e in choice]}
+                for choice in brute_force_choices(blocks, epsilon)
             ],
         }
     )

@@ -763,11 +763,18 @@ def test_packet_list(capsys):
 def _packet_list_cases(rng):
     """(sizes, order) of good-parity SOodd blocks: the parameter of no blocks
     (one member with "eta": [] and "t": [] for +, "params": [] for -), one with
-    two-digit t values, one with a declared order, then 0-6 blocks drawn at
-    random, some with a declared order."""
+    two-digit t values, one with a declared order, the two largest rows of
+    the benchmark's packet-survey spectrum, whose members share each t and
+    eta list with many others, then 0-6 blocks drawn at random, some with a
+    declared order."""
     yield [], None
     yield [(21, 20), (2, 3), (44, 41)], None
     yield [(1, 2), (4, 3), (2, 5)], [2, 0, 1]
+    # min(a, b) + 1 = (2, 2, 2, 4, 4, 5, 6, 6): 23,040 choices.
+    yield [(1, 2), (2, 1), (1, 4), (3, 4), (4, 3), (4, 5), (5, 6), (8, 5)], None
+    # min(a, b) + 1 = (3, 3, 3, 3, 3, 3, 3, 5): 10,935 choices.
+    yield ([(2, 3), (3, 2), (2, 5), (2, 3), (3, 2), (2, 3), (5, 2), (4, 5)],
+           [7, 0, 6, 1, 5, 2, 4, 3])
     for _ in range(40):
         sizes = []
         for _ in range(rng.randint(0, 6)):
@@ -1228,15 +1235,24 @@ def test_negative_option_values(capsys, prefix, option, value):
         (("eisenstein", "-w", str(DEMO), "--global", "G1", "--rho", "r"), "--s0", "1E-3"),
         (("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r"), "--s0", "1.5"),
         (("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r"), "--s0", "3/4"),
+        # A number is an optional sign and ASCII digits: no digit-group
+        # underscore and no other script's digits, which int() would take.
+        (("pole-order", "-w", str(DEMO), "--param", "P", "--rho", "r", "--a0", "4"),
+         "--s0", "\u0663"),
+        (("eisenstein", "-w", str(DEMO), "--global", "G2", "--rho", "r"), "--s0", "1_5/2"),
+        (("transfer", "-w", str(DEMO), "--param", "P", "--rho", "r", "--b0", "5"),
+         "--a0", "\uff14"),
+        (("jac", "--normal-form"), "--exponents", "1_0,\u0662"),
     ],
     ids=["irreducible-x", "pole-order-s0", "jac-exponents", "jac-from", "infchar-s0",
          "arch-order-s0", "eisenstein-s0", "eisenstein-s0-1e5", "eisenstein-s0-1E-3",
-         "eisenstein-s0-decimal", "eisenstein-s0-quarter"],
+         "eisenstein-s0-decimal", "eisenstein-s0-quarter", "pole-order-s0-arabic-indic",
+         "eisenstein-s0-underscore", "transfer-a0-full-width", "jac-exponents-underscore"],
 )
 def test_malformed_number_option_is_a_usage_error(capsys, argv, option, value):
     code, out, err = _run(capsys, *argv, f"{option}={value}")
     assert (code, out) == (EXIT_USAGE, "")
-    bad = "x" if option == "--exponents" else value  # the token that fails
+    bad = {"1,x,2": "x", "1_0,\u0662": "1_0"}.get(value, value)  # the token that fails
     assert f"argument {option}: " in err
     assert repr(bad) in err
 

@@ -77,6 +77,11 @@ def test_parse_halfint_forms():
     assert parse_halfint("4") == 8
     assert parse_halfint(" -2 ") == -4
     assert parse_halfint("-4/2") == -4
+    assert parse_halfint("+3") == 6
+    # Only an optional sign and ASCII digits: int() would take each of these.
+    for text in ("1_5/2", "1_0", "\u0663", "\uff14", "\u0662/2", "+-1", "- 1", "", "/2"):
+        with pytest.raises(ValueError, match="^not an integer: "):
+            parse_halfint(text)
 
 
 # --- labels, parities, groups ------------------------------------------------

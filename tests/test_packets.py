@@ -31,6 +31,7 @@ from apackets.packets import (
 from apackets.transfer import apply_transfer
 from _helpers import (
     blk,
+    brute_force_choices,
     canonical_blocks,
     canonical_order_by_remove,
     closed_form_count,
@@ -162,30 +163,6 @@ def test_enumerate_lexicographic_order():
     )
 
 
-def _brute_force(blocks, epsilon):
-    """Independent enumeration: all raw (t, eta) per block, filtered by the
-    two constraints written out directly."""
-    per_block = []
-    for b in blocks:
-        m = min(b.a, b.b)
-        opts = []
-        for t in range(m // 2 + 1):
-            for eta in (PLUS, MINUS):
-                if 2 * t == m and eta == MINUS:
-                    continue
-                opts.append((t, eta))
-        per_block.append(opts)
-    out = []
-    for choice in itertools.product(*per_block):
-        sign = 1
-        for b, (t, eta) in zip(blocks, choice):
-            m = min(b.a, b.b)
-            sign *= (eta ** m) * ((-1) ** (m // 2 + t))
-        if sign == epsilon:
-            out.append(choice)
-    return out
-
-
 @settings(max_examples=150)
 @given(
     st.lists(
@@ -196,7 +173,7 @@ def _brute_force(blocks, epsilon):
 def test_enumeration_matches_brute_force(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
     found = enumerate_params(blocks, epsilon)
-    expected = _brute_force(blocks, epsilon)
+    expected = brute_force_choices(blocks, epsilon)
     got = [tuple(zip(p.t, p.eta)) for p in found]
     assert sorted(got) == sorted(expected)
     # every enumerated assignment passes validation
@@ -225,7 +202,7 @@ def test_count_partition(sizes):
 def test_enumeration_order_matches_brute_force(sizes, epsilon):
     blocks = [blk("r", a, b) for a, b in sizes]
     found = enumerate_params(blocks, epsilon)
-    assert [tuple(zip(p.t, p.eta)) for p in found] == _brute_force(blocks, epsilon)
+    assert [tuple(zip(p.t, p.eta)) for p in found] == brute_force_choices(blocks, epsilon)
     for p in found:
         assert type(p.t) is type(p.eta) is tuple
         assert all(type(e) is int and e in (PLUS, MINUS) for e in p.eta)
@@ -235,7 +212,7 @@ def test_enumeration_order_matches_brute_force(sizes, epsilon):
 def test_enumerate_empty_block_list():
     assert enumerate_params([], PLUS) == (PacketParams((), ()),)
     assert enumerate_params([], MINUS) == ()
-    assert _brute_force([], PLUS) == [()] and _brute_force([], MINUS) == []
+    assert brute_force_choices([], PLUS) == [()] and brute_force_choices([], MINUS) == []
 
 
 # --- counting without enumeration ---------------------------------------------------
